@@ -35,7 +35,6 @@ from .model import (
     ModelConfig,
     RoutingState,
     dynamic_routing,
-    predict_votes,
 )
 from .profiler import audit_reported_totals, count_flops, count_params, layer_reports
 from .train import (

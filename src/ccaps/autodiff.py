@@ -5,7 +5,10 @@ it. Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``. Only the operations the capsule
 network needs exist here; each fused kernel (conv2d, batch norm, squash,
-softmax, capsule votes) carries a hand-derived backward.
+softmax, capsule votes, routing by agreement) carries a hand-derived
+backward. Routing is one node for all of its iterations: its backward
+walks the iterations in reverse from the stored couplings and poses, so
+no per-iteration graph is built.
 
 dtype follows the inputs: training runs in float32, verification oracles
 construct float64 tensors and get float64 gradients. Graphs are single
@@ -25,6 +28,7 @@ __all__ = [
     "squash",
     "l2_normalize",
     "capsule_votes",
+    "routing_by_agreement",
 ]
 
 # Norms below this are treated as zero when a normalizing division is needed.
@@ -161,28 +165,7 @@ class Tensor:
         return _as_tensor(other) + (-self)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        other = _as_tensor(other)
-        out = _node(self.data / other.data, (self, other))
-        if out._parents:
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accum(_unbroadcast(g / other.data, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accum(_unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
-            out._backward = bw
-        return out
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = _node(self.data ** exponent, (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g * exponent * self.data ** (exponent - 1))
-            out._backward = bw
-        return out
+        return self * (1.0 / other)
 
     def __matmul__(self, other):
         other = _as_tensor(other)
@@ -243,32 +226,6 @@ class Tensor:
         if out._parents:
             def bw(g):
                 self._accum(g * mask)
-            out._backward = bw
-        return out
-
-    def exp(self):
-        value = np.exp(self.data)
-        out = _node(value, (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g * value)
-            out._backward = bw
-        return out
-
-    def log(self):
-        out = _node(np.log(self.data), (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g / self.data)
-            out._backward = bw
-        return out
-
-    def sqrt(self):
-        value = np.sqrt(self.data)
-        out = _node(value, (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g * 0.5 / value)
             out._backward = bw
         return out
 
@@ -432,18 +389,37 @@ def batch_norm2d(
     return out
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    expv = np.exp(x - x.max(axis=axis, keepdims=True))
+    return expv / expv.sum(axis=axis, keepdims=True)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically safe softmax along `axis` (max-subtracted)."""
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    expv = np.exp(shifted)
-    value = expv / expv.sum(axis=axis, keepdims=True)
+    value = _softmax(x.data, axis)
     out = _node(value, (x,))
     if out._parents:
         def bw(g):
             x._accum(value * (g - (g * value).sum(axis=axis, keepdims=True)))
         out._backward = bw
     return out
+
+
+def _squash(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    sq = (x * x).sum(axis=axis, keepdims=True)
+    return x * (np.sqrt(sq) / (1.0 + sq))
+
+
+def _squash_backward(x: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Vector-Jacobian product of :func:`_squash` at `x` for the output gradient `g`."""
+    sq = (x * x).sum(axis=axis, keepdims=True)
+    norm = np.sqrt(sq)
+    # d(|s|/(1+|s|^2))/d|s| = (1-|s|^2)/(1+|s|^2)^2, chained through |s|
+    dot = (g * x).sum(axis=axis, keepdims=True)
+    denom = (1.0 + sq) ** 2 * np.maximum(norm, _NORM_FLOOR)
+    coef = np.where(sq > 0, (1.0 - sq) / denom, 0.0)
+    return g * (norm / (1.0 + sq)) + x * (dot * coef)
 
 
 def squash(x: Tensor, axis: int = -1) -> Tensor:
@@ -454,17 +430,10 @@ def squash(x: Tensor, axis: int = -1) -> Tensor:
     s -> 0 and the zero-norm case is handled without dividing by |s|.
     """
     x = _as_tensor(x)
-    sq = (x.data * x.data).sum(axis=axis, keepdims=True)
-    norm = np.sqrt(sq)
-    scale = norm / (1.0 + sq)
-    out = _node(x.data * scale, (x,))
+    out = _node(_squash(x.data, axis), (x,))
     if out._parents:
         def bw(g):
-            # d(|s|/(1+|s|^2))/d|s| = (1-|s|^2)/(1+|s|^2)^2, chained through |s|
-            dot = (g * x.data).sum(axis=axis, keepdims=True)
-            denom = (1.0 + sq) ** 2 * np.maximum(norm, _NORM_FLOOR)
-            coef = np.where(sq > 0, (1.0 - sq) / denom, 0.0)
-            x._accum(g * scale + x.data * (dot * coef))
+            x._accum(_squash_backward(x.data, g, axis))
         out._backward = bw
     return out
 
@@ -518,3 +487,64 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
                 )
         out._backward = bw
     return out
+
+
+def routing_by_agreement(
+    u_hat: Tensor, iterations: int
+) -> tuple[Tensor, np.ndarray, tuple[np.ndarray, ...]]:
+    """Dynamic routing over votes [B, M, P, D] as one node.
+
+    Returns the parent poses y [B, P, D], the final logits [B, M, P] and
+    the couplings of every iteration (each [B, M, P], softmax over P); the
+    logits and couplings are plain arrays. Logits start at zero. The votes
+    are transposed once to [B, P, M, D], so each iteration is a softmax
+    and two batched matmuls: s = c @ u, then squash, then agreement u @ y.
+
+    The backward runs through every iteration from the stored c, s and y.
+    With db = dL/d(logits after iteration t), walking t = T..1:
+    dy_t = db @ u, ds_t = squash'(s_t) dy_t, dc_t = u @ ds_t, and
+    db += c_t * (dc_t - sum_p c_t * dc_t). At t = T, dy_T is the output
+    gradient and db is zero: the last agreement only feeds the detached
+    logits. The vote gradient sum_t c_t (x) ds_t + db_t (x) y_t is a
+    single batched GEMM.
+    """
+    if iterations < 1:
+        raise ValueError("routing needs at least one iteration")
+    u_hat = _as_tensor(u_hat)
+    u = np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3))
+    b = np.zeros(u.shape[:3], dtype=u.dtype)
+    cs, ss, ys = [], [], []
+    for _ in range(iterations):
+        c = _softmax(b, axis=1)
+        s = np.matmul(c[:, :, None, :], u)[:, :, 0]
+        y = _squash(s)
+        b += np.matmul(u, y[..., None])[..., 0]
+        cs.append(c)
+        ss.append(s)
+        ys.append(y)
+    out = _node(y, (u_hat,))
+    if out._parents:
+        def bw(g):
+            coefs, vecs = [], []
+            db = None
+            dy = g
+            for t in reversed(range(iterations)):
+                if db is not None:
+                    dy = np.matmul(db[:, :, None, :], u)[:, :, 0]
+                    coefs.append(db)
+                    vecs.append(ys[t])
+                ds = _squash_backward(ss[t], dy)
+                coefs.append(cs[t])
+                vecs.append(ds)
+                if t:  # the first couplings come from constant logits
+                    dc = np.matmul(u, ds[..., None])[..., 0]
+                    step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
+                    db = step if db is None else db + step
+            # written through a transposed view so the vote gradient is
+            # contiguous in the votes' own layout for the next backward
+            du = np.empty(u_hat.shape, dtype=u.dtype)
+            np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
+            u_hat._accum(du)
+        out._backward = bw
+    history = tuple(np.ascontiguousarray(c.transpose(0, 2, 1)) for c in cs)
+    return out, np.ascontiguousarray(b.transpose(0, 2, 1)), history

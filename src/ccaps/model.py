@@ -32,7 +32,7 @@ from .autodiff import (
     capsule_votes,
     conv2d,
     l2_normalize,
-    softmax,
+    routing_by_agreement,
     squash,
 )
 from .rngstream import INIT_STREAM, stream_rng
@@ -43,7 +43,6 @@ __all__ = [
     "ForwardOutput",
     "CapsuleNetwork",
     "dynamic_routing",
-    "predict_votes",
     "squash",
     "capsules_to_feature_map",
 ]
@@ -145,11 +144,6 @@ class ForwardOutput:
     routing: RoutingState
 
 
-def predict_votes(u: Tensor, weight: Tensor) -> Tensor:
-    """Per child-parent pair vote: weight[p, m] applied to child pose m."""
-    return capsule_votes(u, weight)
-
-
 def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:
     """Routing by agreement over votes [B, children, parents, dim].
 
@@ -157,26 +151,12 @@ def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingStat
     over the parent axis (each child distributes its output across
     parents), forms coupling-weighted vote sums, squashes them into parent
     poses, and raises the logit of every child-parent pair whose vote
-    agrees with the parent pose. Gradients flow through all iterations.
+    agrees with the parent pose. All iterations run as one
+    :func:`~ccaps.autodiff.routing_by_agreement` node, whose hand-derived
+    backward carries gradients through every iteration.
     """
-    if iterations < 1:
-        raise ValueError("routing needs at least one iteration")
-    u_hat = u_hat if isinstance(u_hat, Tensor) else Tensor(u_hat)
-    batch, children, parents, dim = u_hat.shape
-    b = Tensor(np.zeros((batch, children, parents), dtype=u_hat.dtype))
-    history = []
-    y = None
-    for _ in range(iterations):
-        c = softmax(b, axis=2)
-        history.append(c.data.copy())
-        s = (c.reshape(batch, children, parents, 1) * u_hat).sum(axis=1)
-        y = squash(s, axis=-1)
-        agreement = (u_hat * y.reshape(batch, 1, parents, dim)).sum(axis=-1)
-        b = b + agreement
-    state = RoutingState(
-        logits=b.data.copy(), couplings=history[-1], coupling_history=tuple(history)
-    )
-    return y, state
+    y, logits, history = routing_by_agreement(u_hat, iterations)
+    return y, RoutingState(logits=logits, couplings=history[-1], coupling_history=history)
 
 
 def capsules_to_feature_map(u: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -317,7 +297,12 @@ class CapsuleNetwork:
         return squash(u, axis=-1)
 
     def class_caps(self, u: Tensor, routing_iterations: int) -> tuple[Tensor, RoutingState]:
-        u_hat = predict_votes(u, self.params["class_caps.weight"])
+        """Child poses [B, M, D] -> class capsules [B, classes, class_dim].
+
+        Votes come from one batched GEMM (:func:`capsule_votes`); routing
+        is the single fused node behind :func:`dynamic_routing`.
+        """
+        u_hat = capsule_votes(u, self.params["class_caps.weight"])
         return dynamic_routing(u_hat, routing_iterations)
 
     def forward(

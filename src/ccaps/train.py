@@ -206,13 +206,16 @@ class Adam:
             t.grad = None
 
     def step(self) -> None:
+        """One update of every parameter; a non-finite gradient anywhere
+        raises :class:`TrainingError` before any state changes."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient in {name!r}")
         self.steps += 1
         bc1 = 1.0 - self.beta1**self.steps
         bc2 = 1.0 - self.beta2**self.steps
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(grad)):
-                raise TrainingError(f"non-finite gradient in {name!r}")
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             m = self.m[name]
@@ -248,6 +251,39 @@ def _two_view_batch(batch, config: TrainConfig, stats: NormalizationStats, epoch
         view_i[pos] = standardize(vi, stats)
         view_j[pos] = standardize(vj, stats)
     return view_i, view_j
+
+
+def _train_step(
+    net: CapsuleNetwork,
+    adam: Adam,
+    config: TrainConfig,
+    stats: NormalizationStats,
+    batch,
+    epoch: int,
+    batch_index: int,
+) -> float:
+    """One Siamese step on `batch`; returns the loss.
+
+    The step's graph lives only in this frame, so it is freed on return,
+    before the next step builds its own.
+    """
+    view_i, view_j = _two_view_batch(batch, config, stats, epoch)
+    out_i = net.forward(
+        view_i, mode="train",
+        routing_iterations=config.routing_iterations, update_running=True,
+    )
+    out_j = net.forward(
+        view_j, mode="train",
+        routing_iterations=config.routing_iterations, update_running=False,
+    )
+    loss = nt_xent_op(concat([out_i.z, out_j.z], axis=0), config.temperature)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+    adam.zero_grad()
+    loss.backward()
+    adam.step()
+    return value
 
 
 def _build_record(
@@ -335,26 +371,7 @@ def train(
             ):
                 if batch.size < 2:
                     continue  # batch norm cannot take a single sample
-                view_i, view_j = _two_view_batch(batch, config, stats, epoch)
-                out_i = net.forward(
-                    view_i, mode="train",
-                    routing_iterations=config.routing_iterations, update_running=True,
-                )
-                out_j = net.forward(
-                    view_j, mode="train",
-                    routing_iterations=config.routing_iterations, update_running=False,
-                )
-                z = concat([out_i.z, out_j.z], axis=0)
-                loss = nt_xent_op(z, config.temperature)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_index}"
-                    )
-                adam.zero_grad()
-                loss.backward()
-                adam.step()
-                batch_losses.append(value)
+                batch_losses.append(_train_step(net, adam, config, stats, batch, epoch, batch_index))
 
             if not batch_losses:
                 raise TrainingError("no usable batches (all smaller than 2 images)")

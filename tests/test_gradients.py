@@ -102,7 +102,8 @@ def test_backward_is_linear_in_the_loss():
     def grad_with_scale(a, b):
         net.zero_grad()
         l1 = siamese_loss(net, x1, x2, iters=2)
-        l2 = (net.forward(x1, mode="eval").z ** 2).sum()
+        z = net.forward(x1, mode="eval").z
+        l2 = (z * z).sum()
         (l1 * a + l2 * b).backward()
         return {k: t.grad.copy() for k, t in net.trainable().items()}
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccaps.autodiff import Tensor, squash
+from ccaps.autodiff import Tensor, capsule_votes, squash
 from ccaps.model import (
     CapsuleNetwork,
     ModelConfig,
     capsules_to_feature_map,
     dynamic_routing,
-    predict_votes,
 )
 
 TINY = ModelConfig(
@@ -101,14 +100,14 @@ def test_votes_identity_blocks_copy_child_poses():
     u = np.random.default_rng(1).normal(size=(2, children, dim))
     w = np.zeros((parents, children, dim, dim))
     w[:, :] = np.eye(dim)
-    votes = predict_votes(Tensor(u), Tensor(w)).data
+    votes = capsule_votes(Tensor(u), Tensor(w)).data
     for p in range(parents):
         np.testing.assert_allclose(votes[:, :, p, :], u, atol=1e-12)
 
 
 def test_votes_zero_poses_give_zero():
     w = np.random.default_rng(2).normal(size=(3, 5, 4, 6))
-    votes = predict_votes(Tensor(np.zeros((2, 5, 4))), Tensor(w)).data
+    votes = capsule_votes(Tensor(np.zeros((2, 5, 4))), Tensor(w)).data
     np.testing.assert_array_equal(votes, 0.0)
 
 
@@ -116,7 +115,7 @@ def test_votes_match_triple_loop_oracle():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(3, 7, 4))
     w = rng.normal(size=(5, 7, 4, 6))
-    votes = predict_votes(Tensor(u), Tensor(w)).data
+    votes = capsule_votes(Tensor(u), Tensor(w)).data
     oracle = np.zeros((3, 7, 5, 6))
     for b in range(3):
         for m in range(7):

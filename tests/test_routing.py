@@ -1,0 +1,68 @@
+"""The fused routing node against the generic-op reference, in float64."""
+
+import numpy as np
+import pytest
+
+from ccaps.autodiff import Tensor, routing_by_agreement
+from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
+from routing_reference import generic_routing
+from test_autodiff import check_grad
+
+
+def _routed_grads(route, u_hat: np.ndarray, proj: np.ndarray, iterations: int):
+    t = Tensor(u_hat.copy(), requires_grad=True)
+    y, state = route(t, iterations)
+    (y * Tensor(proj)).sum().backward()
+    return y.data, state, t.grad
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 5])
+def test_fused_routing_matches_generic_reference(iterations):
+    rng = np.random.default_rng(100 + iterations)
+    u_hat = rng.normal(size=(3, 24, 6, 5))
+    proj = rng.normal(size=(3, 6, 5))
+    y, state, grad = _routed_grads(dynamic_routing, u_hat, proj, iterations)
+    ref_y, ref_state, ref_grad = _routed_grads(generic_routing, u_hat, proj, iterations)
+
+    np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.logits, ref_state.logits, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(state.couplings, ref_state.couplings, rtol=0, atol=1e-12)
+    assert len(state.coupling_history) == len(ref_state.coupling_history) == iterations
+    for c, ref_c in zip(state.coupling_history, ref_state.coupling_history):
+        np.testing.assert_allclose(c, ref_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+
+def test_routing_node_grads_match_central_differences():
+    rng = np.random.default_rng(200)
+    u_hat = rng.normal(size=(2, 5, 3, 4))
+    proj = Tensor(rng.normal(size=(2, 3, 4)))
+    check_grad(lambda t: (routing_by_agreement(t, 3)[0] * proj).sum(), u_hat, rtol=1e-5)
+
+
+def test_parent_with_all_zero_votes_has_finite_gradients():
+    rng = np.random.default_rng(300)
+    u_hat = rng.normal(size=(2, 8, 4, 5))
+    u_hat[:, :, 1, :] = 0.0  # squash sees s = 0 for parent 1 in every iteration
+    proj = rng.normal(size=(2, 4, 5))
+    y, _, grad = _routed_grads(dynamic_routing, u_hat, proj, 3)
+    _, _, ref_grad = _routed_grads(generic_routing, u_hat, proj, 3)
+    np.testing.assert_array_equal(y[:, 1], 0.0)
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+
+def test_eval_forward_records_routing_node_for_trainable_weights():
+    config = ModelConfig(
+        image_size=8, conv_channels=(4, 8), conv_strides=(1, 2), primary_channels=8,
+        capsule_dim=4, num_classes=3, class_capsule_dim=4,
+    )
+    net = CapsuleNetwork(config, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(400)
+    x = rng.normal(size=(2, 3, 8, 8))
+    out = net.forward(x, mode="eval")
+    assert out.y._parents and out.y._backward is not None
+    net.zero_grad()
+    (out.y * Tensor(rng.normal(size=out.y.shape))).sum().backward()
+    grad = net.params["class_caps.weight"].grad
+    assert grad is not None and np.any(grad != 0)

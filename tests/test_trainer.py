@@ -104,6 +104,26 @@ def test_adam_rejects_non_finite_gradient():
         opt.step()
 
 
+def test_adam_non_finite_gradient_leaves_every_state_unchanged():
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5]), requires_grad=True)
+    opt = Adam({"a": a, "b": b}, learning_rate=0.1, weight_decay=0.01)
+    a.grad, b.grad = np.array([0.3, -0.2]), np.array([0.1])
+    opt.step()
+    steps, a_data, b_data, moments = opt.steps, a.data.copy(), b.data.copy(), opt.state_arrays()
+
+    a.grad, b.grad = np.array([0.4, 0.1]), np.array([np.inf])
+    with pytest.raises(TrainingError, match="non-finite gradient in 'b'"):
+        opt.step()
+    assert opt.steps == steps
+    np.testing.assert_array_equal(a.data, a_data)
+    np.testing.assert_array_equal(b.data, b_data)
+    after = opt.state_arrays()
+    assert set(after) == set(moments)
+    for name, value in moments.items():
+        np.testing.assert_array_equal(after[name], value, err_msg=name)
+
+
 def test_adam_state_round_trip():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     opt = Adam({"p": p}, learning_rate=0.1)
