@@ -5,10 +5,16 @@ it. Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``. Only the operations the capsule
 network needs exist here; each fused kernel (conv2d, batch norm, squash,
-softmax, capsule votes, routing by agreement) carries a hand-derived
-backward. Routing is one node for all of its iterations: its backward
-walks the iterations in reverse from the stored couplings and poses, so
-no per-iteration graph is built.
+capsule votes, routing by agreement) carries a hand-derived backward.
+Routing is one node for all of its iterations: its backward walks the
+iterations in reverse from the stored couplings and poses, so no
+per-iteration graph is built.
+
+Image tensors have NCHW shapes and NHWC memory: ``conv2d`` returns its
+output, and its input gradient, as ``transpose(0, 3, 1, 2)`` views of
+channels-last buffers. Batch norm and ReLU are elementwise in memory
+order, so the whole conv block, forward and backward, stays channels-last
+without a layout copy between layers.
 
 dtype follows the inputs: training runs in float32, verification oracles
 construct float64 tensors and get float64 gradients. Graphs are single
@@ -24,7 +30,6 @@ __all__ = [
     "concat",
     "conv2d",
     "batch_norm2d",
-    "softmax",
     "squash",
     "l2_normalize",
     "capsule_votes",
@@ -263,39 +268,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # -- fused kernels ---------------------------------------------------------
 
 
-def _im2col(padded: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Patches of `padded` as rows: [B*out_h*out_w, C*kernel*kernel]."""
-    batch, channels = padded.shape[:2]
-    cols = np.empty((batch, out_h, out_w, channels, kernel, kernel), dtype=padded.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[..., i, j] = padded[
-                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ].transpose(0, 2, 3, 1)
-    return cols.reshape(batch * out_h * out_w, channels * kernel * kernel)
-
-
-def _col2im(dcols: np.ndarray, x_shape: tuple, kernel: int, stride: int, padding: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    batch, channels, height, width = x_shape
-    dpadded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=dcols.dtype
-    )
-    d6 = dcols.reshape(batch, out_h, out_w, channels, kernel, kernel)
-    for i in range(kernel):
-        for j in range(kernel):
-            dpadded[
-                :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ] += d6[..., i, j].transpose(0, 3, 1, 2)
-    if padding == 0:
-        return dpadded
-    return dpadded[:, :, padding : padding + height, padding : padding + width]
-
-
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     """2D cross-correlation without bias, via im2col and a single GEMM.
 
     x: [B, C, H, W]; weight: [F, C, k, k] -> [B, F, H_out, W_out].
+
+    Shapes are NCHW, memory is NHWC: the output and the input gradient are
+    transposed views of channels-last buffers, so batch norm and ReLU see
+    activations and gradients in one layout. Any input layout is accepted.
+    The im2col rows are one copy of a strided sliding-window view of the
+    zero-padded NHWC input, in (kh, kw, C) column order; the input
+    gradient scatter-adds one contiguous [B, H_out, W_out, C] block per
+    kernel offset back into a padded NHWC buffer.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     batch, channels, height, width = x.data.shape
@@ -309,10 +293,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     if out_h < 1 or out_w < 1:
         raise ValueError("conv2d: kernel larger than padded input")
 
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, kernel, stride, out_h, out_w)
-    w2 = weight.data.reshape(filters, -1)
-    out2 = cols @ w2.T
+    padded_shape = (batch, height + 2 * padding, width + 2 * padding, channels)
+    padded = np.zeros(padded_shape, dtype=x.data.dtype)
+    padded[:, padding : padding + height, padding : padding + width] = x.data.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    cols = (
+        windows[:, ::stride, ::stride]
+        .transpose(0, 1, 2, 4, 5, 3)
+        .reshape(batch * out_h * out_w, kernel * kernel * channels)
+    )
+    # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
+    # them rather than have every node hold one
+    out2 = cols @ weight.data.transpose(0, 2, 3, 1).reshape(filters, -1).T
     out = _node(
         out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2), (x, weight)
     )
@@ -320,9 +312,23 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
         def bw(g):
             g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
             if weight.requires_grad or weight._parents:
-                weight._accum((g2.T @ cols).reshape(weight.data.shape))
+                dw2 = g2.T @ cols
+                weight._accum(dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2))
             if x.requires_grad or x._parents:
-                x._accum(_col2im(g2 @ w2, x.data.shape, kernel, stride, padding, out_h, out_w))
+                # one GEMM per kernel offset, so each block added is contiguous
+                w3 = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+                w3 = w3.reshape(kernel * kernel, filters, channels)
+                dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
+                dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
+                # overlapping blocks: this order fixes dX's float32 rounding,
+                # so changing it changes every training digest
+                for j in range(kernel):
+                    for i in range(kernel):
+                        dpadded[
+                            :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+                        ] += dcols[i, j]
+                dx = dpadded[:, padding : padding + height, padding : padding + width]
+                x._accum(dx.transpose(0, 3, 1, 2))
         out._backward = bw
     return out
 
@@ -392,18 +398,6 @@ def batch_norm2d(
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     expv = np.exp(x - x.max(axis=axis, keepdims=True))
     return expv / expv.sum(axis=axis, keepdims=True)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically safe softmax along `axis` (max-subtracted)."""
-    x = _as_tensor(x)
-    value = _softmax(x.data, axis)
-    out = _node(value, (x,))
-    if out._parents:
-        def bw(g):
-            x._accum(value * (g - (g * value).sum(axis=axis, keepdims=True)))
-        out._backward = bw
-    return out
 
 
 def _squash(x: np.ndarray, axis: int = -1) -> np.ndarray:

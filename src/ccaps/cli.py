@@ -258,7 +258,12 @@ def _safe_extract_tar(archive: Path, dest: Path) -> None:
             target = Path(member.name)
             if target.is_absolute() or ".." in target.parts:
                 raise CliError(f"archive member escapes destination: {member.name}")
-        tar.extractall(dest)
+        # the data filter (PEP 706) also rejects links that point outside
+        # dest, which a name check cannot see
+        try:
+            tar.extractall(dest, filter="data")
+        except tarfile.FilterError as exc:
+            raise CliError(f"archive member rejected: {exc}") from exc
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:

@@ -4,13 +4,26 @@ This is the per-iteration graph that ``model.dynamic_routing`` built
 before routing became one fused node (reshape, broadcast multiply, sum,
 softmax, squash and add for every iteration). Its gradients come from the
 generic nodes' backward rules, so it checks the fused kernel's
-hand-derived backward independently. Run it in float64.
+hand-derived backward independently. Run it in float64. The softmax node
+it needs lives here too, since no model code uses it.
 """
 
 import numpy as np
 
-from ccaps.autodiff import Tensor, softmax, squash
+from ccaps.autodiff import Tensor, _as_tensor, _node, _softmax, squash
 from ccaps.model import RoutingState
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically safe softmax along `axis` (max-subtracted)."""
+    x = _as_tensor(x)
+    value = _softmax(x.data, axis)
+    out = _node(value, (x,))
+    if out._parents:
+        def bw(g):
+            x._accum(value * (g - (g * value).sum(axis=axis, keepdims=True)))
+        out._backward = bw
+    return out
 
 
 def generic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:

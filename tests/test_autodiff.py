@@ -1,5 +1,7 @@
 """Engine-level checks: every kernel's backward against central finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from ccaps.autodiff import (
     concat,
     conv2d,
     l2_normalize,
-    softmax,
     squash,
 )
+from routing_reference import softmax
 
 RNG = np.random.default_rng(1234)
 
@@ -168,21 +170,50 @@ def test_conv2d_grads_match_fd(stride):
     np.testing.assert_allclose(tw.grad, numeric, rtol=1e-5, atol=1e-8)
 
 
-def test_conv2d_matches_naive_loops():
-    x = RNG.normal(size=(2, 3, 5, 5))
-    w = RNG.normal(size=(4, 3, 3, 3))
-    stride, pad = 2, 1
-    out = conv2d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+def naive_conv2d(x, w, g, stride, pad):
+    """Direct-loop cross-correlation: output, and dX, dW for output gradient g."""
+    batch, _, height, width = x.shape
+    filters, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (5 + 2 * pad - 3) // stride + 1
-    naive = np.zeros((2, 4, oh, oh))
-    for b in range(2):
-        for f in range(4):
+    oh = (height + 2 * pad - k) // stride + 1
+    ow = (width + 2 * pad - k) // stride + 1
+    out = np.zeros((batch, filters, oh, ow))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for b in range(batch):
+        for f in range(filters):
             for i in range(oh):
-                for j in range(oh):
-                    patch = xp[b, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
-                    naive[b, f, i, j] = (patch * w[f]).sum()
-    np.testing.assert_allclose(out, naive, atol=1e-12)
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + k)
+                    cols = slice(j * stride, j * stride + k)
+                    out[b, f, i, j] = (xp[b, :, rows, cols] * w[f]).sum()
+                    dxp[b, :, rows, cols] += g[b, f, i, j] * w[f]
+                    dw[f] += g[b, f, i, j] * xp[b, :, rows, cols]
+    return out, dxp[:, :, pad : pad + height, pad : pad + width], dw
+
+
+def test_conv2d_matches_naive_loops():
+    layouts = {
+        "nchw": lambda shape: RNG.normal(size=shape),
+        "nhwc": lambda shape: RNG.normal(size=(shape[0], *shape[2:], shape[1])).transpose(0, 3, 1, 2),
+        "strided": lambda shape: RNG.normal(size=(shape[0], 2 * shape[1], shape[2], 3 * shape[3]))[:, ::2, :, 1::3],
+    }
+    configs = itertools.product([1, 2, 3], [0, 1, 2], [1, 3], [(7, 5), (4, 9)], layouts)
+    for stride, pad, k, (height, width), layout in configs:
+        x = layouts[layout]((2, 3, height, width))
+        w = RNG.normal(size=(4, 3, k, k))
+        oh = (height + 2 * pad - k) // stride + 1
+        ow = (width + 2 * pad - k) // stride + 1
+        g = layouts[layout]((2, 4, oh, ow))
+        tx = Tensor(x, requires_grad=True)
+        tw = Tensor(w, requires_grad=True)
+        out = conv2d(tx, tw, stride=stride, padding=pad)
+        (out * Tensor(g)).sum().backward()
+        naive_out, naive_dx, naive_dw = naive_conv2d(x, w, g, stride, pad)
+        where = f"stride={stride} pad={pad} k={k} hw={height}x{width} {layout}"
+        np.testing.assert_allclose(out.data, naive_out, rtol=0, atol=1e-12, err_msg=where)
+        np.testing.assert_allclose(tx.grad, naive_dx, rtol=0, atol=1e-12, err_msg=where)
+        np.testing.assert_allclose(tw.grad, naive_dw, rtol=0, atol=1e-12, err_msg=where)
 
 
 def test_batch_norm_train_grads_match_fd():

@@ -1,6 +1,8 @@
 """CLI behavior end to end, against a synthetic dataset on disk."""
 
 import hashlib
+import io
+import tarfile
 
 import numpy as np
 import pytest
@@ -45,6 +47,27 @@ def test_fetch_explicit_scheme_prefix(archive, tmp_path):
     md5 = hashlib.md5(path.read_bytes()).hexdigest()
     dest = tmp_path / "data"
     assert main(["fetch", str(path), "--checksum", f"md5:{md5}", "--dest", str(dest)]) == 0
+
+
+def test_fetch_rejects_a_file_written_through_a_symlink_member(tmp_path, capsys):
+    # each member name passes a name-only check: no "..", not absolute
+    source = tmp_path / "hostile.tar"
+    with tarfile.open(source, "w") as tar:
+        link = tarfile.TarInfo("cifar-10-batches-bin")
+        link.type = tarfile.SYMTYPE
+        link.linkname = "../outside"
+        tar.addfile(link)
+        payload = b"written outside --dest\n"
+        member = tarfile.TarInfo("cifar-10-batches-bin/escaped.txt")
+        member.size = len(payload)
+        tar.addfile(member, io.BytesIO(payload))
+    (tmp_path / "outside").mkdir()
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+
+    rc = main(["fetch", str(source), "--checksum", digest, "--dest", str(tmp_path / "data")])
+    assert not (tmp_path / "outside" / "escaped.txt").exists()
+    assert rc == 1
+    assert "archive member" in capsys.readouterr().err
 
 
 def test_fetched_directory_passes_loader_validation(archive, tmp_path):

@@ -98,12 +98,14 @@ def test_backward_is_linear_in_the_loss():
     rng = np.random.default_rng(8)
     x1 = rng.normal(size=(4, 3, 8, 8))
     x2 = rng.normal(size=(4, 3, 8, 8))
+    # a random projection: sum(z * z) would be constant over unit-norm rows
+    w = Tensor(rng.normal(size=(4, REDUCED.embedding_dim)))
 
     def grad_with_scale(a, b):
         net.zero_grad()
         l1 = siamese_loss(net, x1, x2, iters=2)
         z = net.forward(x1, mode="eval").z
-        l2 = (z * z).sum()
+        l2 = (z * w).sum()
         (l1 * a + l2 * b).backward()
         return {k: t.grad.copy() for k, t in net.trainable().items()}
 

@@ -222,6 +222,46 @@ def test_conv_block_train_rejects_batch_of_one():
         net.conv_block(Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32)), mode="train")
 
 
+def test_conv_block_stays_channels_last_forward_and_backward(monkeypatch):
+    # NCHW shapes over NHWC memory: a layer that hands back an NCHW buffer
+    # makes every elementwise pass below it mix the two layouts
+    from ccaps import autodiff, model
+
+    activations, conv_grads = [], []
+
+    def recording_conv2d(x, weight, **kwargs):
+        activations.append(("conv input", x.data))
+        out = autodiff.conv2d(x, weight, **kwargs)
+        activations.append(("conv output", out.data))
+        inner = out._backward
+
+        def bw(g):
+            conv_grads.append(g)
+            inner(g)
+
+        out._backward = bw
+        return out
+
+    def recording_batch_norm2d(*args, **kwargs):
+        out = autodiff.batch_norm2d(*args, **kwargs)
+        activations.append(("batch norm output", out.data))
+        return out
+
+    monkeypatch.setattr(model, "conv2d", recording_conv2d)
+    monkeypatch.setattr(model, "batch_norm2d", recording_batch_norm2d)
+    net = CapsuleNetwork(ModelConfig(), seed=0)
+    x = np.random.default_rng(11).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    out = net.conv_block(Tensor(x, requires_grad=True), mode="train", update_running=False)
+    activations.append(("relu output", out.data))
+    (out * out).sum().backward()
+
+    assert len(activations) == 3 * 6 + 1 and len(conv_grads) == 6
+    for i, (what, a) in enumerate(activations[1:], start=1):  # [0] is the NCHW image batch
+        assert a.transpose(0, 2, 3, 1).flags.c_contiguous, (i, what, a.shape)
+    for g in conv_grads:
+        assert g.transpose(0, 2, 3, 1).flags.c_contiguous, g.shape
+
+
 def test_primary_caps_norms_below_one_and_reshape_inverts():
     net = CapsuleNetwork(TINY, seed=1, dtype=np.float64)
     rng = np.random.default_rng(10)
