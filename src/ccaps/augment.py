@@ -36,7 +36,6 @@ class AugmentConfig:
     jitter_strengths: tuple[float, float, float, float] = (0.4, 0.4, 0.4, 0.1)
     jitter_probability: float = 0.8
     grayscale_probability: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.crop_scale_range

@@ -3,20 +3,23 @@
 Every run is reconstructable from one flat key=value config file; command
 line flags mirror the config keys and override them. The CIFAR-10 data
 root can also come from the CCAPS_DATA_DIR environment variable. Commands
-exit 0 on success, 1 on failure, 130 on interruption; partial files only
-ever appear with a ``.partial`` suffix.
+exit 0 on success, 1 on failure, 130 on interruption (Ctrl-C, or SIGTERM
+while training); partial files only ever appear with a ``.partial`` suffix.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import os
 import shutil
+import signal
 import sys
 import tarfile
 import tempfile
 import urllib.request
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -62,34 +65,60 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# every documented config key with its parser; unknown keys are rejected
-CONFIG_KEYS = {
-    "data_dir": str,
-    "checkpoint_dir": str,
-    "metrics_path": str,
-    "temperature": float,
-    "routing_iterations": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "weight_decay": float,
-    "seed": int,
-    "checkpoint_every": int,
-    "eval_every": int,
-    "eval_test_subset": int,
-    "deterministic": _parse_bool,
-    "subset": int,
-    "knn_k": int,
-    "crop_scale_min": float,
-    "crop_scale_max": float,
-    "flip_probability": float,
-    "jitter_brightness": float,
-    "jitter_contrast": float,
-    "jitter_saturation": float,
-    "jitter_hue": float,
-    "jitter_probability": float,
-    "grayscale_probability": float,
+# The run settings are the fields of TrainConfig and its AugmentConfig under
+# their own names; a tuple field takes one key per component.
+_TUPLE_KEYS = {
+    "crop_scale_range": ("crop_scale_min", "crop_scale_max"),
+    "jitter_strengths": ("jitter_brightness", "jitter_contrast", "jitter_saturation", "jitter_hue"),
 }
+# the settings that are not TrainConfig fields, with their defaults
+_RUN_DEFAULTS = {
+    "data_dir": None,
+    "checkpoint_dir": "checkpoints",
+    "metrics_path": None,
+    "eval_test_subset": 1000,
+    "subset": 0,
+    "knn_k": EvalConfig.k,
+}
+
+
+def _flat_settings(config: TrainConfig) -> dict:
+    """The config-file keys and values of `config` (its model is not configurable)."""
+    flat = {}
+    for obj in (config, config.augment):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.name in _TUPLE_KEYS:
+                flat.update(zip(_TUPLE_KEYS[f.name], value))
+            elif not is_dataclass(value):
+                flat[f.name] = value
+    return flat
+
+
+def _train_config(settings: dict) -> TrainConfig:
+    """Inverse of `_flat_settings`; keys that are not fields are ignored."""
+
+    def build(cls, **nested):
+        kwargs = dict(nested)
+        for f in fields(cls):
+            if f.name in _TUPLE_KEYS:
+                kwargs[f.name] = tuple(settings[k] for k in _TUPLE_KEYS[f.name])
+            elif f.name in settings:
+                kwargs[f.name] = settings[f.name]
+        return cls(**kwargs)
+
+    return build(TrainConfig, augment=build(AugmentConfig))
+
+
+def _parser_for(default):
+    if isinstance(default, bool):
+        return _parse_bool
+    return str if default is None else type(default)
+
+
+_DEFAULTS = {**_flat_settings(TrainConfig()), **_RUN_DEFAULTS}
+# every documented config key with its parser; unknown keys are rejected
+CONFIG_KEYS = {key: _parser_for(default) for key, default in _DEFAULTS.items()}
 
 
 def parse_run_config(path: str | Path) -> dict:
@@ -112,38 +141,9 @@ def parse_run_config(path: str | Path) -> dict:
     return values
 
 
-_SETTING_DEFAULTS = {
-    "temperature": 0.2,
-    "routing_iterations": 3,
-    "epochs": 50,
-    "batch_size": 128,
-    "learning_rate": 1e-3,
-    "weight_decay": 1e-6,
-    "seed": 0,
-    "checkpoint_every": 0,
-    "eval_every": 0,
-    "eval_test_subset": 1000,
-    "deterministic": True,
-    "subset": 0,
-    "knn_k": 200,
-    "crop_scale_min": 0.2,
-    "crop_scale_max": 1.0,
-    "flip_probability": 0.5,
-    "jitter_brightness": 0.4,
-    "jitter_contrast": 0.4,
-    "jitter_saturation": 0.4,
-    "jitter_hue": 0.1,
-    "jitter_probability": 0.8,
-    "grayscale_probability": 0.2,
-    "data_dir": None,
-    "checkpoint_dir": "checkpoints",
-    "metrics_path": None,
-}
-
-
-def _resolve_settings(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags."""
-    settings = dict(_SETTING_DEFAULTS)
+def _resolve_settings(args: argparse.Namespace, base: dict) -> dict:
+    """base < config file < command-line flags; --paper-scale wins over all."""
+    settings = dict(base)
     if getattr(args, "config", None):
         settings.update(parse_run_config(args.config))
     for key in CONFIG_KEYS:
@@ -157,36 +157,6 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     if settings["data_dir"] is None:
         settings["data_dir"] = os.environ.get(DATA_ENV_VAR)
     return settings
-
-
-def _train_config(settings: dict) -> TrainConfig:
-    augment = AugmentConfig(
-        crop_scale_range=(settings["crop_scale_min"], settings["crop_scale_max"]),
-        flip_probability=settings["flip_probability"],
-        jitter_strengths=(
-            settings["jitter_brightness"],
-            settings["jitter_contrast"],
-            settings["jitter_saturation"],
-            settings["jitter_hue"],
-        ),
-        jitter_probability=settings["jitter_probability"],
-        grayscale_probability=settings["grayscale_probability"],
-        seed=settings["seed"],
-    )
-    return TrainConfig(
-        temperature=settings["temperature"],
-        routing_iterations=settings["routing_iterations"],
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["learning_rate"],
-        weight_decay=settings["weight_decay"],
-        seed=settings["seed"],
-        checkpoint_every=settings["checkpoint_every"],
-        eval_every=settings["eval_every"],
-        deterministic=settings["deterministic"],
-        augment=augment,
-        model=ModelConfig(),
-    )
 
 
 def _require_data_dir(settings: dict) -> Path:
@@ -206,29 +176,34 @@ def _require_data_dir(settings: dict) -> Path:
 
 
 class DirectoryLock:
-    """Exclusive lock file guarding a checkpoint directory."""
+    """Exclusive POSIX flock on `.lock` guarding a checkpoint directory.
+
+    The kernel drops the lock however its holder dies, so a leftover file
+    never blocks. The file names the last holder's pid for humans and is
+    never unlinked, which could let two runs lock different inodes.
+    """
 
     def __init__(self, directory: Path):
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / ".lock"
 
     def __enter__(self):
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CliError(
-                f"{self.path} exists: another run owns this checkpoint directory "
-                "(delete the lock file if that run is gone)"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.ftruncate(fd, 0)
+            os.write(fd, str(os.getpid()).encode())
+        except BlockingIOError:
+            os.close(fd)
+            raise CliError(f"{self.path} is locked: another run owns this checkpoint directory") from None
+        except OSError:
+            os.close(fd)
+            raise
+        self._fd = fd
         return self
 
     def __exit__(self, *exc_info):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self._fd)  # releases the lock
 
 
 # -- fetch -----------------------------------------------------------------------
@@ -312,7 +287,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
+    settings = _resolve_settings(args, _DEFAULTS)
     config = _train_config(settings)
 
     if args.dry_run:
@@ -360,16 +335,21 @@ def cmd_train(args: argparse.Namespace) -> int:
             extra = f"  top1 {row.top1:.2f}%  top5 {row.top5:.2f}%"
         print(f"epoch {row.epoch}  loss {row.loss:.6f}{extra}", flush=True)
 
-    with DirectoryLock(checkpoint_dir):
-        result = train(
-            config,
-            train_split,
-            eval_hook=eval_hook,
-            checkpoint_dir=checkpoint_dir,
-            metrics_path=metrics_path,
-            resume_from=resume_from,
-            progress=progress,
-        )
+    # SIGTERM (preemption) takes the Ctrl-C path: final checkpoint, exit 130
+    previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        with DirectoryLock(checkpoint_dir):
+            result = train(
+                config,
+                train_split,
+                eval_hook=eval_hook,
+                checkpoint_dir=checkpoint_dir,
+                metrics_path=metrics_path,
+                resume_from=resume_from,
+                progress=progress,
+            )
+    finally:
+        signal.signal(signal.SIGTERM, previous_handler)
     print(f"checkpoint: {checkpoint_dir / 'final.ckpt'}")
     print(f"metrics: {metrics_path}")
     if result.interrupted:
@@ -382,24 +362,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
     record = CheckpointRecord.load(args.checkpoint)
     net, stats, train_config = network_from_record(record)
+    # the checkpoint's training values (temperature) replace the defaults
+    settings = _resolve_settings(args, {**_DEFAULTS, **_flat_settings(train_config)})
 
     data_dir = _require_data_dir(settings)
     train_split, test_split = load_cifar10_binary(data_dir)
     memory = memory_view(train_split.take(args.memory_subset) if args.memory_subset else train_split)
     test = test_split.take(args.test_subset) if args.test_subset else test_split
 
-    # temperature: flag > config file > the checkpoint's training value
-    file_values = parse_run_config(args.config) if args.config else {}
-    if args.temperature is not None:
-        temperature = args.temperature
-    elif "temperature" in file_values:
-        temperature = file_values["temperature"]
-    else:
-        temperature = train_config.temperature
-    cfg = EvalConfig(k=min(settings["knn_k"], len(memory)), temperature=temperature)
+    cfg = EvalConfig(k=min(settings["knn_k"], len(memory)), temperature=settings["temperature"])
     result = evaluate(net, memory, test, stats, cfg)
     print(
         f"weighted kNN over {len(memory)} bank rows, {result.total} queries "
@@ -444,48 +417,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="run-config file (flat key = value lines)")
-    parser.add_argument("--data-dir", dest="data_dir", help="CIFAR-10 binary directory")
-    parser.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    parser.add_argument("--metrics-path", dest="metrics_path")
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--routing-iterations", dest="routing_iterations", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--weight-decay", dest="weight_decay", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    parser.add_argument("--eval-every", dest="eval_every", type=int)
-    parser.add_argument("--eval-test-subset", dest="eval_test_subset", type=int)
-    parser.add_argument("--subset", type=int, help="train on the first N images only")
-    parser.add_argument("--knn-k", dest="knn_k", type=int)
-    parser.add_argument(
-        "--deterministic",
-        dest="deterministic",
-        action="store_true",
-        default=None,
-        help="seed-replayable run; metrics record 0.0 seconds (default)",
-    )
-    parser.add_argument(
-        "--non-deterministic",
-        dest="deterministic",
-        action="store_false",
-        help="record wall-clock epoch times in the metrics CSV",
-    )
-    for key in (
-        "crop-scale-min",
-        "crop-scale-max",
-        "flip-probability",
-        "jitter-brightness",
-        "jitter-contrast",
-        "jitter-saturation",
-        "jitter-hue",
-        "jitter-probability",
-        "grayscale-probability",
-    ):
-        parser.add_argument(f"--{key}", dest=key.replace("-", "_"), type=float)
+def _add_setting_flag(parser: argparse.ArgumentParser, key: str, help: str | None = None) -> None:
+    """`--key-name` for a config key; a bool key also gets `--non-key-name`."""
+    flag = "--" + key.replace("_", "-")
+    if CONFIG_KEYS[key] is _parse_bool:
+        parser.add_argument(flag, dest=key, action="store_true", default=None, help=help)
+        parser.add_argument("--non-" + flag[2:], dest=key, action="store_false")
+    else:
+        parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key], help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.set_defaults(func=cmd_fetch)
 
     tr = sub.add_parser("train", help="run the contrastive training loop")
-    _add_train_flags(tr)
+    tr.add_argument("--config", help="run-config file (flat key = value lines)")
+    for key, default in _DEFAULTS.items():
+        _add_setting_flag(tr, key, None if default is None else f"default: {default}")
     tr.add_argument("--resume", help="checkpoint to continue from")
     tr.add_argument("--dry-run", action="store_true", help="validate config, print the profile, exit")
     tr.add_argument(
@@ -515,9 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="weighted kNN evaluation of a checkpoint")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--config", help="run-config file")
-    ev.add_argument("--data-dir", dest="data_dir")
-    ev.add_argument("--knn-k", dest="knn_k", type=int)
-    ev.add_argument("--temperature", type=float)
+    for key in ("data_dir", "knn_k", "temperature"):
+        _add_setting_flag(ev, key)
     ev.add_argument("--memory-subset", type=int, help="bank rows (default: full train split)")
     ev.add_argument("--test-subset", type=int, help="queries (default: full test split)")
     ev.add_argument("--csv-out", help="append the report as a CSV row")

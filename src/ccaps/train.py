@@ -115,6 +115,7 @@ class TrainConfig:
     def from_dict(cls, data: dict) -> "TrainConfig":
         kwargs = dict(data)
         aug = dict(kwargs.pop("augment"))
+        aug.pop("seed", None)  # unused field of configs saved before it was removed
         aug["crop_scale_range"] = tuple(aug["crop_scale_range"])
         aug["jitter_strengths"] = tuple(aug["jitter_strengths"])
         kwargs["augment"] = AugmentConfig(**aug)

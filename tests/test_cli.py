@@ -2,13 +2,32 @@
 
 import hashlib
 import io
+import os
+import signal
+import subprocess
+import sys
 import tarfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccaps.cli import CONFIG_KEYS, main, parse_run_config
-from ccaps.train import CheckpointRecord, read_metrics_csv
+import ccaps
+from ccaps.augment import AugmentConfig
+from ccaps.cli import (
+    _DEFAULTS,
+    CONFIG_KEYS,
+    DirectoryLock,
+    _flat_settings,
+    _parse_bool,
+    _resolve_settings,
+    _train_config,
+    build_parser,
+    main,
+    parse_run_config,
+)
+from ccaps.train import CheckpointRecord, TrainConfig, read_metrics_csv
 from synth import make_archive, write_synthetic_cifar
 
 
@@ -121,15 +140,55 @@ def test_parse_run_config_reports_bad_value_line(tmp_path):
         parse_run_config(cfg)
 
 
-def test_every_flagged_key_is_documented():
-    # the train parser must accept exactly the config-file surface
-    from ccaps.cli import build_parser
-
+def test_every_flagged_key_is_documented(tmp_path, monkeypatch):
+    # every config key reaches the resolver from its train flag and from a
+    # config file alike, and lands in its own TrainConfig field
+    monkeypatch.delenv("CCAPS_DATA_DIR", raising=False)
+    assert sorted(CONFIG_KEYS) == sorted(
+        "data_dir checkpoint_dir metrics_path temperature routing_iterations epochs "
+        "batch_size learning_rate weight_decay seed checkpoint_every eval_every "
+        "eval_test_subset deterministic subset knn_k crop_scale_min crop_scale_max "
+        "flip_probability jitter_brightness jitter_contrast jitter_saturation jitter_hue "
+        "jitter_probability grayscale_probability".split()
+    )
     parser = build_parser()
-    text = parser.format_help()
-    assert "train" in text
-    for key in CONFIG_KEYS:
-        assert key in CONFIG_KEYS  # documented by construction
+    defaults = _resolve_settings(parser.parse_args(["train"]), _DEFAULTS)
+    assert _train_config(defaults) == TrainConfig()
+    assert _train_config(defaults).hash() == TrainConfig().hash()
+
+    # the tuple fields' components, in order
+    augment = AugmentConfig(crop_scale_range=(0.3, 0.6), jitter_strengths=(0.1, 0.2, 0.3, 0.4))
+    flat = _flat_settings(TrainConfig(augment=augment))
+    assert [flat["crop_scale_min"], flat["crop_scale_max"]] == [0.3, 0.6]
+    assert [flat[f"jitter_{c}"] for c in ("brightness", "contrast", "saturation", "hue")] == [0.1, 0.2, 0.3, 0.4]
+
+    config_defaults = _flat_settings(TrainConfig())
+    for key, parse in CONFIG_KEYS.items():
+        # a valid value that differs from the default
+        if parse is _parse_bool:
+            value = not defaults[key]
+            flags = ["--" + ("" if value else "non-") + key.replace("_", "-")]
+        else:
+            if parse is str:
+                value = f"dir/{key}"
+            elif parse is int:
+                value = defaults[key] + 3
+            else:
+                value = defaults[key] / 2
+            flags = ["--" + key.replace("_", "-"), str(value)]
+        from_flag = _resolve_settings(parser.parse_args(["train", *flags]), _DEFAULTS)
+        assert from_flag == {**defaults, key: value}, key
+
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_file = _resolve_settings(parser.parse_args(["train", "--config", str(cfg)]), _DEFAULTS)
+        assert from_file == from_flag, key
+        built = _train_config(from_file)
+        assert built == _train_config(from_flag), key
+        if key in config_defaults:
+            assert _flat_settings(built) == {**config_defaults, key: value}, key
+        else:
+            assert built == TrainConfig(), key
 
 
 # -- train / eval / plot pipeline ------------------------------------------------
@@ -161,7 +220,8 @@ def test_cli_train_writes_artifacts(cli_run, capsys):
     rc, out = cli_run
     assert rc == 0
     assert (out / "ckpt" / "final.ckpt").exists()
-    assert not (out / "ckpt" / ".lock").exists()  # released
+    with DirectoryLock(out / "ckpt"):  # released
+        pass
     rows = read_metrics_csv(out / "metrics.csv")
     assert len(rows) == 2
     assert rows[1].top1 is not None  # eval ran at epoch 2
@@ -202,22 +262,70 @@ def test_cli_train_accepts_paper_scale_dry_run(capsys):
     assert rc == 0
 
 
+def _small_train_args(data_dir, ckpt):
+    return [
+        "train",
+        "--data-dir", str(data_dir),
+        "--checkpoint-dir", str(ckpt),
+        "--epochs", "1",
+        "--batch-size", "16",
+        "--subset", "32",
+    ]
+
+
 def test_cli_train_lock_blocks_concurrent_runs(small_data_dir, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
-    ckpt.mkdir()
-    (ckpt / ".lock").write_text("999999")
-    rc = main(
-        [
-            "train",
-            "--data-dir", str(small_data_dir),
-            "--checkpoint-dir", str(ckpt),
-            "--epochs", "1",
-            "--batch-size", "16",
-            "--subset", "32",
-        ]
-    )
+    with DirectoryLock(ckpt):  # a live holder
+        rc = main(_small_train_args(small_data_dir, ckpt))
     assert rc == 1
     assert "lock" in capsys.readouterr().err
+    assert not (ckpt / "final.ckpt").exists()
+
+
+def test_cli_train_lock_left_by_a_dead_run_does_not_block(small_data_dir, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / ".lock").write_text("999999")  # a run that was SIGKILLed
+    assert main(_small_train_args(small_data_dir, ckpt)) == 0
+    assert CheckpointRecord.load(ckpt / "final.ckpt").epoch == 1
+
+
+def test_cli_sigterm_writes_final_checkpoint_and_releases_lock(small_data_dir, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    argv = [*_small_train_args(small_data_dir, ckpt), "--epochs", "1000"]  # the last flag wins
+    src = str(Path(ccaps.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccaps.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    watchdog = threading.Timer(300, proc.kill)  # a hung run must not hang the suite
+    watchdog.start()
+    try:
+        for line in proc.stdout:
+            if line.startswith("epoch 1 "):
+                break
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+    assert proc.returncode == 130, err
+    assert "interrupted" in err
+    assert CheckpointRecord.load(ckpt / "final.ckpt").epoch >= 1
+    with DirectoryLock(ckpt):  # a new run can take the lock
+        pass
+
+
+def test_cli_seed_gives_the_api_config_hash(small_data_dir, tmp_path):
+    # a CLI checkpoint resumes under the TrainConfig the API builds
+    ckpt = tmp_path / "ckpt"
+    assert main([*_small_train_args(small_data_dir, ckpt), "--seed", "3"]) == 0
+    record = CheckpointRecord.load(ckpt / "final.ckpt")
+    assert record.meta["config_hash"] == TrainConfig(seed=3, batch_size=16).hash()
 
 
 def test_cli_config_file_with_flag_override(small_data_dir, tmp_path, capsys):
@@ -257,6 +365,29 @@ def test_cli_eval_reports_k_and_temperature(cli_run, small_data_dir, capsys):
     lines = (out / "eval.csv").read_text().splitlines()
     assert lines[0] == "checkpoint,k,temperature,total,top1,top5"
     assert len(lines) == 2
+
+
+def test_cli_eval_temperature_flag_over_file_over_checkpoint(small_data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    assert main([*_small_train_args(small_data_dir, ckpt), "--temperature", "0.5"]) == 0
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("temperature = 0.3\n")
+    base = [
+        "eval",
+        "--checkpoint", str(ckpt / "final.ckpt"),
+        "--data-dir", str(small_data_dir),
+        "--memory-subset", "32",
+        "--test-subset", "20",
+        "--knn-k", "5",
+    ]
+    capsys.readouterr()
+    for extra, expected in (
+        ([], "temperature=0.5"),
+        (["--config", str(cfg)], "temperature=0.3"),
+        (["--config", str(cfg), "--temperature", "0.4"], "temperature=0.4"),
+    ):
+        assert main([*base, *extra]) == 0
+        assert expected in capsys.readouterr().out, extra
 
 
 def test_cli_eval_missing_checkpoint_fails_cleanly(small_data_dir, tmp_path, capsys):

@@ -158,6 +158,13 @@ def test_config_dict_round_trip():
     assert TrainConfig.from_dict(cfg.to_dict()).hash() == cfg.hash()
 
 
+def test_config_from_dict_drops_the_removed_augment_seed():
+    # checkpoints written while AugmentConfig had a seed field still load
+    stored = TrainConfig().to_dict()
+    stored["augment"]["seed"] = 3
+    assert TrainConfig.from_dict(stored) == TrainConfig()
+
+
 def test_identical_seeds_identical_metrics_and_csv(train_subset, tmp_path):
     cfg = _config()
     a = train(cfg, train_subset, metrics_path=tmp_path / "a.csv")
