@@ -5,6 +5,12 @@ routing by agreement) trained with a temperature-scaled contrastive loss
 on unlabeled images, evaluated with weighted-kNN voting over a feature
 bank, plus an exact parameter/FLOP profiler. Built on numpy with its own
 reverse-mode kernels; see the CLI (`ccaps`) for the operator surface.
+
+Each job has one entry point, the one the program itself runs: `train`
+(also to resume, via `resume_from`), `nt_xent_op` for the loss,
+`standardize(to_unit_interval(pixels), stats)` for input conditioning,
+`evaluate` for kNN accuracy, and `count_params`/`count_flops` for the
+profile.
 """
 
 from .augment import AugmentConfig, apply_pipeline, two_views
@@ -12,13 +18,13 @@ from .autodiff import Tensor, squash
 from .data import (
     DataError,
     DatasetSplit,
-    ImageRecord,
     NormalizationStats,
     batch_iterator,
     compute_normalization_stats,
     load_cifar10_binary,
     memory_view,
-    normalize,
+    standardize,
+    to_unit_interval,
 )
 from .knn import (
     EvalConfig,
@@ -28,7 +34,7 @@ from .knn import (
     evaluate,
     weighted_knn_predict,
 )
-from .loss import EmbeddingBatch, nt_xent, nt_xent_backward, similarity_matrix
+from .loss import nt_xent_op
 from .model import (
     CapsuleNetwork,
     ForwardOutput,
@@ -43,7 +49,6 @@ from .train import (
     MetricsRow,
     TrainConfig,
     TrainResult,
-    resume,
     train,
 )
 

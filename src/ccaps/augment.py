@@ -17,14 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# stage names, introspectable; no blur stage exists
-PIPELINE_STAGES = (
-    "random_resized_crop",
-    "horizontal_flip",
-    "color_jitter",
-    "random_grayscale",
-)
-
 _ASPECT_RATIO_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 _LUMA = np.array([0.299, 0.587, 0.114])  # ITU-R 601
 
@@ -38,6 +30,8 @@ class AugmentConfig:
     grayscale_probability: float = 0.2
 
     def __post_init__(self):
+        object.__setattr__(self, "crop_scale_range", tuple(self.crop_scale_range))
+        object.__setattr__(self, "jitter_strengths", tuple(self.jitter_strengths))
         lo, hi = self.crop_scale_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"crop_scale_range must satisfy 0 < low <= high <= 1, got {self.crop_scale_range}")

@@ -77,15 +77,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, grad: np.ndarray) -> None:
         self.grad = grad if self.grad is None else self.grad + grad
 

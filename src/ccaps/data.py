@@ -32,14 +32,6 @@ class DataError(Exception):
 
 
 @dataclass(frozen=True)
-class ImageRecord:
-    """One labelled image: class index 0-9 and channel-planar uint8 pixels."""
-
-    label: int
-    pixels: np.ndarray  # (3, 32, 32) uint8
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel mean and standard deviation of pixel values in [0, 1]."""
 
@@ -83,12 +75,10 @@ class DatasetSplit:
     def __len__(self) -> int:
         return len(self.images)
 
-    def record(self, index: int) -> ImageRecord:
-        label = -1 if self.labels is None else int(self.labels[index])
-        return ImageRecord(label=label, pixels=self.images[index])
-
     def take(self, count: int) -> "DatasetSplit":
-        """First `count` records in file order."""
+        """First `count` records in file order; a negative count is an error."""
+        if count < 0:
+            raise ValueError(f"record count must be non-negative, got {count}")
         labels = None if self.labels is None else self.labels[:count]
         return DatasetSplit(self.images[:count], labels, self.split_kind)
 
@@ -176,11 +166,6 @@ def standardize(image: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     mean = stats.mean.astype(image.dtype).reshape(3, 1, 1)
     std = stats.std.astype(image.dtype).reshape(3, 1, 1)
     return (image - mean) / std
-
-
-def normalize(record: ImageRecord, stats: NormalizationStats) -> np.ndarray:
-    """Full input conditioning for one record: scale to [0, 1], standardize."""
-    return standardize(to_unit_interval(record.pixels), stats)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import l2_normalize
 from .data import NUM_CLASSES, DatasetSplit, NormalizationStats, batch_iterator, standardize, to_unit_interval
 from .model import CapsuleNetwork
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-5
+_QUERY_CHUNK = 512  # queries scored per similarity block in `evaluate`
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,7 @@ def extract_features(
     for batch in batch_iterator(split, batch_size, shuffle=False):
         x = standardize(to_unit_interval(batch.images), stats)
         fmap = net.conv_block(x, mode="eval")
-        flat = fmap.data.reshape(batch.size, -1)
-        norms = np.maximum(np.linalg.norm(flat, axis=1, keepdims=True), 1e-12)
-        out[row : row + batch.size] = flat / norms
+        out[row : row + batch.size] = l2_normalize(fmap.reshape(batch.size, -1), axis=1).data
         row += batch.size
     return out
 
@@ -118,13 +118,11 @@ def build_feature_bank(
 def weighted_knn_predict(
     h: np.ndarray, bank: FeatureBank, cfg: EvalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class scores and ranked labels for one query or a batch of queries.
+    """Class scores and ranked labels for a batch of queries `h` [Q, D].
 
     Returns (scores [Q, classes], ranked [Q, classes]); ranked[q, 0] is the
-    top-1 prediction. Accepts a single [D] query as well.
+    top-1 prediction.
     """
-    single = h.ndim == 1
-    queries = h[None] if single else h
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
     if int(bank.labels.max()) >= cfg.class_count:
@@ -132,23 +130,20 @@ def weighted_knn_predict(
             f"bank labels reach {int(bank.labels.max())}, beyond class_count={cfg.class_count}"
         )
 
-    sim = queries @ bank.features.T  # [Q, M]
+    sim = h @ bank.features.T  # [Q, M]
     if cfg.k < len(bank):
         top = np.argpartition(-sim, cfg.k - 1, axis=1)[:, : cfg.k]
     else:
         top = np.broadcast_to(np.arange(len(bank)), sim.shape).copy()
-    rows = np.arange(len(queries))[:, None]
+    rows = np.arange(len(h))[:, None]
     # float64 keeps exp(1/temperature) finite for any positive temperature
     weights = np.exp(sim[rows, top].astype(np.float64) / cfg.temperature)
     neighbor_labels = bank.labels[top]
 
-    scores = np.zeros((len(queries), cfg.class_count), dtype=weights.dtype)
+    scores = np.zeros((len(h), cfg.class_count), dtype=weights.dtype)
     np.add.at(scores, (np.broadcast_to(rows, top.shape), neighbor_labels), weights)
     # stable argsort on negated scores: ties fall back to ascending class index
-    ranked = np.argsort(-scores, axis=1, kind="stable")
-    if single:
-        return scores[0], ranked[0]
-    return scores, ranked
+    return scores, np.argsort(-scores, axis=1, kind="stable")
 
 
 def evaluate(
@@ -158,7 +153,6 @@ def evaluate(
     stats: NormalizationStats,
     cfg: EvalConfig,
     batch_size: int = 256,
-    query_chunk: int = 512,
 ) -> EvalResult:
     """Top-1/top-5 accuracy of weighted kNN voting over the whole test split."""
     if len(test_split) == 0:
@@ -171,8 +165,8 @@ def evaluate(
 
     correct1 = 0
     correct5 = 0
-    for start in range(0, len(queries), query_chunk):
-        chunk = queries[start : start + query_chunk]
+    for start in range(0, len(queries), _QUERY_CHUNK):
+        chunk = queries[start : start + _QUERY_CHUNK]
         chunk_labels = labels[start : start + len(chunk)]
         _, ranked = weighted_knn_predict(chunk, bank, cfg)
         correct1 += int(np.sum(ranked[:, 0] == chunk_labels))

@@ -7,50 +7,15 @@ For each anchor the denominator runs over all 2N-1 other rows, positive
 included, and the scalar loss is the mean over all 2N anchors. All
 exponentials are max-subtracted.
 
-The functions here are pure numpy; :func:`nt_xent_op` wraps the same math
-as an autodiff graph node for training.
+:func:`nt_xent_op` is the one entry point: an autodiff node whose value
+and hand-derived gradient come from a single numpy pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
-
-_UNIT_NORM_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """Concatenated paired embeddings [2N, D] plus the temperature."""
-
-    z: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        z = np.asarray(self.z)
-        if z.ndim != 2:
-            raise ValueError(f"embeddings must be 2-D, got shape {z.shape}")
-        if len(z) < 2 or len(z) % 2 != 0:
-            raise ValueError(f"need an even number (>= 2) of rows, got {len(z)}")
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        norms = np.linalg.norm(z, axis=1)
-        worst = float(np.abs(norms - 1.0).max())
-        if worst > _UNIT_NORM_TOL:
-            raise ValueError(f"rows must be unit norm within {_UNIT_NORM_TOL}, worst error {worst:.2e}")
-        object.__setattr__(self, "z", z)
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.z) // 2
-
-
-def similarity_matrix(batch: EmbeddingBatch) -> np.ndarray:
-    """Cosine similarities S = z z^T; symmetric, unit diagonal."""
-    return batch.z @ batch.z.T
 
 
 def _loss_and_grad(z: np.ndarray, tau: float, want_grad: bool):
@@ -75,23 +40,12 @@ def _loss_and_grad(z: np.ndarray, tau: float, want_grad: bool):
     return loss, grad
 
 
-def nt_xent(batch: EmbeddingBatch) -> float:
-    """Mean per-anchor contrastive loss; non-negative."""
-    loss, _ = _loss_and_grad(batch.z, batch.tau, want_grad=False)
-    return loss
-
-
-def nt_xent_backward(batch: EmbeddingBatch) -> np.ndarray:
-    """Exact gradient of :func:`nt_xent` with respect to the embedding rows."""
-    _, grad = _loss_and_grad(batch.z, batch.tau, want_grad=True)
-    return grad
-
-
 def nt_xent_op(z: Tensor, tau: float) -> Tensor:
     """Autodiff node computing the contrastive loss of an embedding tensor.
 
-    Skips the strict unit-norm validation (the network's normalize stage
-    guarantees it up to float32 rounding) but keeps the structural checks.
+    Rows are assumed unit norm (the network's normalize stage guarantees
+    it up to float32 rounding); only the structure and the temperature
+    are checked.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")

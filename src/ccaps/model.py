@@ -22,7 +22,7 @@ what the loss and the evaluator assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "CapsuleNetwork",
     "dynamic_routing",
     "squash",
-    "capsules_to_feature_map",
 ]
 
 
@@ -106,21 +105,6 @@ class ModelConfig:
         """Length of the flattened class-capsule vector z."""
         return self.num_classes * self.class_capsule_dim
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        kwargs = dict(data)
-        for key in ("conv_channels", "conv_strides"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 @dataclass
 class RoutingState:
@@ -157,17 +141,6 @@ def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingStat
     """
     y, logits, history = routing_by_agreement(u_hat, iterations)
     return y, RoutingState(logits=logits, couplings=history[-1], coupling_history=history)
-
-
-def capsules_to_feature_map(u: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Invert the primary-capsule reshape back to [B, channels, grid, grid]."""
-    grid = config.feature_grid
-    batch = u.shape[0]
-    return (
-        u.reshape(batch, config.capsule_groups, grid, grid, config.capsule_dim)
-        .transpose(0, 1, 4, 2, 3)
-        .reshape(batch, config.primary_channels, grid, grid)
-    )
 
 
 def _init_arrays(config: ModelConfig, seed: int, dtype) -> dict[str, np.ndarray]:

@@ -73,14 +73,12 @@ class ParamSummary:
 
 @dataclass(frozen=True)
 class FlopSummary:
-    convention: str  # "mac" or "2mac"
     conv_macs: tuple[tuple[str, int], ...]  # per conv layer, input resolution fixed
     conv_total: int
     votes_macs: int
     routing_macs_per_iteration: int
     elementwise_aux: int  # batch norm + relu elementwise ops
-    headline_total: int  # conv_total under the stated convention
-    doubled_total: int  # same count under 2 FLOPs per MAC
+    doubled_total: int  # conv_total under 2 FLOPs per MAC
 
 
 @dataclass(frozen=True)
@@ -197,9 +195,7 @@ def count_params(config: ModelConfig = ModelConfig()) -> ParamSummary:
     )
 
 
-def count_flops(config: ModelConfig = ModelConfig(), convention: str = "mac") -> FlopSummary:
-    if convention not in ("mac", "2mac"):
-        raise ValueError(f"unknown FLOP convention {convention!r}")
+def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
     reports = layer_reports(config)
     conv_rows = tuple(
         (r.name, r.macs) for r in reports if r.name.startswith(("Conv2d", "PrimaryCaps"))
@@ -212,15 +208,12 @@ def count_flops(config: ModelConfig = ModelConfig(), convention: str = "mac") ->
     elementwise = sum(
         2 * c * s * s for c, s in zip(config.conv_channels, sizes)
     )  # batch norm scale+shift and relu, per channel map
-    headline = conv_total if convention == "mac" else 2 * conv_total
     return FlopSummary(
-        convention=convention,
         conv_macs=conv_rows,
         conv_total=conv_total,
         votes_macs=votes,
         routing_macs_per_iteration=routing,
         elementwise_aux=elementwise,
-        headline_total=headline,
         doubled_total=2 * conv_total,
     )
 

@@ -21,7 +21,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .augment import AugmentConfig, two_views
 from .autodiff import Tensor, concat
-from .checkpoint import config_hash, save_checkpoint
+from .checkpoint import CheckpointError, config_hash, save_checkpoint
 from .data import (
     DatasetSplit,
     NormalizationStats,
@@ -51,7 +51,6 @@ __all__ = [
     "CheckpointMismatchError",
     "Adam",
     "train",
-    "resume",
     "network_from_record",
     "write_metrics_csv",
     "read_metrics_csv",
@@ -97,30 +96,24 @@ class TrainConfig:
             raise ValueError("cadences must be non-negative")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "augment":
-                d = {af.name: getattr(value, af.name) for af in fields(AugmentConfig)}
-                d["crop_scale_range"] = list(d["crop_scale_range"])
-                d["jitter_strengths"] = list(d["jitter_strengths"])
-                out["augment"] = d
-            elif f.name == "model":
-                out["model"] = value.to_dict()
-            else:
-                out[f.name] = value
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        kwargs = dict(data)
-        aug = dict(kwargs.pop("augment"))
-        aug.pop("seed", None)  # unused field of configs saved before it was removed
-        aug["crop_scale_range"] = tuple(aug["crop_scale_range"])
-        aug["jitter_strengths"] = tuple(aug["jitter_strengths"])
-        kwargs["augment"] = AugmentConfig(**aug)
-        kwargs["model"] = ModelConfig.from_dict(kwargs.pop("model"))
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict`, also for a dict read back from JSON.
+
+        A stored ``augment.seed`` (a removed field) is dropped. Any other
+        missing or unknown key, or a value the configs reject, raises
+        :class:`CheckpointError`.
+        """
+        try:
+            kwargs = _field_values(cls, data, "config")
+            augment = {k: v for k, v in dict(kwargs["augment"]).items() if k != "seed"}
+            kwargs["augment"] = AugmentConfig(**_field_values(AugmentConfig, augment, "config.augment"))
+            kwargs["model"] = ModelConfig(**_field_values(ModelConfig, kwargs["model"], "config.model"))
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"stored config is invalid: {exc}") from exc
 
     def trajectory_dict(self) -> dict:
         """The fields that determine the numeric trajectory of a run.
@@ -136,6 +129,18 @@ class TrainConfig:
 
     def hash(self) -> str:
         return config_hash(self.trajectory_dict())
+
+
+def _field_values(cls, data, where: str) -> dict:
+    """`data` as keyword arguments for `cls`; it must name every field and no other."""
+    if not isinstance(data, dict):
+        raise CheckpointError(f"stored {where} is not a mapping")
+    names = {f.name for f in fields(cls)}
+    problems = [f"no {k!r} key" for k in sorted(names - set(data))]
+    problems += [f"unknown key {k!r}" for k in sorted(set(data) - names)]
+    if problems:
+        raise CheckpointError(f"stored {where}: {', '.join(problems)}")
+    return dict(data)
 
 
 @dataclass
@@ -310,6 +315,8 @@ def _build_record(
 
 def network_from_record(record: CheckpointRecord):
     """Rebuild (network, stats, config) from a checkpoint record."""
+    if "config" not in record.meta:
+        raise CheckpointError("checkpoint metadata has no 'config' key")
     config = TrainConfig.from_dict(record.meta["config"])
     model_arrays = {
         k: v for k, v in record.arrays.items() if not k.startswith(("adam.", "norm."))
@@ -408,16 +415,6 @@ def train(
             output_rows = [r for r in previous if r.epoch <= start_epoch] + rows
         write_metrics_csv(metrics_path, output_rows)
     return TrainResult(checkpoint=record, metrics=rows, interrupted=interrupted)
-
-
-def resume(
-    checkpoint: CheckpointRecord,
-    config: TrainConfig,
-    data: DatasetSplit,
-    **kwargs,
-) -> TrainResult:
-    """Continue training as if uninterrupted; no-op when already finished."""
-    return train(config, data, resume_from=checkpoint, **kwargs)
 
 
 # -- metrics CSV ---------------------------------------------------------------

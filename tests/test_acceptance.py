@@ -16,7 +16,7 @@ from ccaps.autodiff import Tensor, concat, squash
 from ccaps.cli import main
 from ccaps.data import compute_normalization_stats, load_cifar10_binary, memory_view
 from ccaps.knn import EvalConfig, FeatureBank, evaluate, weighted_knn_predict
-from ccaps.loss import EmbeddingBatch, nt_xent, nt_xent_op
+from ccaps.loss import nt_xent_op
 from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
 from ccaps.profiler import (
     PUBLISHED_CONVBLOCK_PARAMS,
@@ -25,7 +25,7 @@ from ccaps.profiler import (
     count_flops,
     layer_reports,
 )
-from ccaps.train import CheckpointRecord, TrainConfig, network_from_record, resume, train
+from ccaps.train import CheckpointRecord, TrainConfig, network_from_record, train
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,7 +215,7 @@ def test_c6_nt_xent_oracle():
         tau = float(rng.uniform(0.05, 2.0))
         z = rng.normal(size=(2 * n, d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        mine = nt_xent(EmbeddingBatch(z, tau=tau))
+        mine = float(nt_xent_op(Tensor(z), tau).data)
         brute = 0.0
         for a in range(2 * n):
             pos = (a + n) % (2 * n)
@@ -228,11 +228,11 @@ def test_c6_nt_xent_oracle():
 
     row = rng.normal(size=8)
     row /= np.linalg.norm(row)
-    pair = EmbeddingBatch(np.stack([row, row]), tau=0.2)
-    assert abs(nt_xent(pair)) <= 1e-9
+    pair = Tensor(np.stack([row, row]))
+    assert abs(float(nt_xent_op(pair, 0.2).data)) <= 1e-9
     for n in (2, 4, 8):
-        batch = EmbeddingBatch(np.tile(row, (2 * n, 1)), tau=0.2)
-        assert abs(nt_xent(batch) - np.log(2 * n - 1)) <= 1e-9
+        batch = Tensor(np.tile(row, (2 * n, 1)))
+        assert abs(float(nt_xent_op(batch, 0.2).data) - np.log(2 * n - 1)) <= 1e-9
     _verdict("C6", f"100 random batches match brute force (worst {worst:.1e}); analytic cases to 1e-9")
 
 
@@ -348,7 +348,7 @@ def test_c9_determinism_and_resume(small_data_dir, tmp_path):
     # train-10 vs train-5-plus-resume-5, bitwise checkpoint equality
     straight = train(config(10), subset)
     five = train(config(5), subset)
-    extended = resume(five.checkpoint, config(10), subset)
+    extended = train(config(10), subset, resume_from=five.checkpoint)
     a = straight.checkpoint.save(tmp_path / "straight.ckpt")
     b = extended.checkpoint.save(tmp_path / "resumed.ckpt")
     assert a.read_bytes() == b.read_bytes()
@@ -356,7 +356,7 @@ def test_c9_determinism_and_resume(small_data_dir, tmp_path):
     # and the interruption flavor via an on-disk snapshot
     train(config(10, checkpoint_every=5), subset, checkpoint_dir=tmp_path / "snap")
     snapshot = CheckpointRecord.load(tmp_path / "snap" / "epoch_0005.ckpt")
-    resumed = resume(snapshot, config(10, checkpoint_every=5), subset)
+    resumed = train(config(10, checkpoint_every=5), subset, resume_from=snapshot)
     c = train(config(10, checkpoint_every=5), subset).checkpoint.save(tmp_path / "c.ckpt")
     d = resumed.checkpoint.save(tmp_path / "d.ckpt")
     assert c.read_bytes() == d.read_bytes()

@@ -273,6 +273,14 @@ def _small_train_args(data_dir, ckpt):
     ]
 
 
+def test_cli_train_rejects_a_negative_subset(small_data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    rc = main([*_small_train_args(small_data_dir, ckpt), "--subset", "-3"])
+    assert rc == 1
+    assert "non-negative" in capsys.readouterr().err
+    assert not (ckpt / "final.ckpt").exists()
+
+
 def test_cli_train_lock_blocks_concurrent_runs(small_data_dir, tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     with DirectoryLock(ckpt):  # a live holder
@@ -400,6 +408,19 @@ def test_cli_eval_missing_checkpoint_fails_cleanly(small_data_dir, tmp_path, cap
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys):
+    _, out = cli_run
+    record = CheckpointRecord.load(out / "ckpt" / "final.ckpt")
+    without_config = {k: v for k, v in record.meta.items() if k != "config"}
+    unknown_key = {**record.meta, "config": {**record.meta["config"], "blur": 1}}
+    for name, meta, named in (("no-config", without_config, "'config'"), ("unknown", unknown_key, "'blur'")):
+        path = CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / f"{name}.ckpt")
+        rc = main(["eval", "--checkpoint", str(path), "--data-dir", str(small_data_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1, name
+        assert err.startswith("error:") and named in err, err
 
 
 def test_cli_resume_continues_run(cli_run, small_data_dir, tmp_path, capsys):

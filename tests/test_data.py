@@ -13,13 +13,11 @@ from ccaps.data import (
     Batch,
     DataError,
     DatasetSplit,
-    ImageRecord,
     NormalizationStats,
     batch_iterator,
     compute_normalization_stats,
     load_cifar10_binary,
     memory_view,
-    normalize,
     standardize,
     to_unit_interval,
 )
@@ -89,19 +87,32 @@ def test_nested_batches_directory_is_found(tmp_path):
     assert len(train) == 50 and len(test) == 10
 
 
+def test_take_keeps_file_order_and_rejects_a_negative_count():
+    images = np.arange(10, dtype=np.uint8)[:, None, None, None] * np.ones((1, 3, 32, 32), np.uint8)
+    split = DatasetSplit(images, np.arange(10) % 10, "train")
+    first = split.take(3)
+    np.testing.assert_array_equal(first.images, images[:3])
+    np.testing.assert_array_equal(first.labels, [0, 1, 2])
+    assert len(split.take(0)) == 0 and len(split.take(99)) == 10
+    with pytest.raises(ValueError, match="non-negative"):
+        split.take(-1)
+
+
 # -- normalization -----------------------------------------------------------
 
 
 def test_normalize_zero_pixels_identity_stats():
-    record = ImageRecord(label=0, pixels=np.zeros((3, 32, 32), dtype=np.uint8))
+    pixels = np.zeros((3, 32, 32), dtype=np.uint8)
     stats = NormalizationStats(mean=np.zeros(3), std=np.ones(3))
-    np.testing.assert_array_equal(normalize(record, stats), np.zeros((3, 32, 32)))
+    np.testing.assert_array_equal(standardize(to_unit_interval(pixels), stats), np.zeros((3, 32, 32)))
 
 
 def test_normalize_full_intensity_half_stats():
-    record = ImageRecord(label=1, pixels=np.full((3, 32, 32), 255, dtype=np.uint8))
+    pixels = np.full((3, 32, 32), 255, dtype=np.uint8)
     stats = NormalizationStats(mean=np.full(3, 0.5), std=np.full(3, 0.5))
-    np.testing.assert_allclose(normalize(record, stats), np.ones((3, 32, 32)), atol=1e-6)
+    np.testing.assert_allclose(
+        standardize(to_unit_interval(pixels), stats), np.ones((3, 32, 32)), atol=1e-6
+    )
 
 
 def test_stats_require_positive_std():

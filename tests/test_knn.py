@@ -57,15 +57,15 @@ def test_bank_validation():
 
 def test_single_row_bank_always_wins():
     bank = FeatureBank(_unit_rows(1, 8, 0), np.array([3]))
-    _, ranked = weighted_knn_predict(_unit_rows(1, 8, 1)[0], bank, EvalConfig(k=1))
-    assert ranked[0] == 3
+    _, ranked = weighted_knn_predict(_unit_rows(1, 8, 1), bank, EvalConfig(k=1))
+    assert ranked[0, 0] == 3
 
 
 def test_exact_match_wins_top1_at_k1():
     feats = _unit_rows(20, 16, 2)
     bank = FeatureBank(feats, np.arange(20) % 10)
-    _, ranked = weighted_knn_predict(feats[7], bank, EvalConfig(k=1))
-    assert ranked[0] == 7 % 10
+    _, ranked = weighted_knn_predict(feats[7][None], bank, EvalConfig(k=1))
+    assert ranked[0, 0] == 7 % 10
 
 
 def test_scores_match_exhaustive_oracle():
@@ -87,9 +87,9 @@ def test_huge_temperature_reduces_to_majority_vote():
     labels = np.array([1] * 12 + [2] * 10 + [3] * 8)
     bank = FeatureBank(feats, labels)
     cfg = EvalConfig(k=30, temperature=1e9)
-    scores, ranked = weighted_knn_predict(_unit_rows(1, 8, 7)[0], bank, cfg)
-    np.testing.assert_allclose(scores[[1, 2, 3]], [12, 10, 8], rtol=1e-6)
-    assert ranked[0] == 1
+    scores, ranked = weighted_knn_predict(_unit_rows(1, 8, 7), bank, cfg)
+    np.testing.assert_allclose(scores[0, [1, 2, 3]], [12, 10, 8], rtol=1e-6)
+    assert ranked[0, 0] == 1
 
 
 def test_ties_break_by_ascending_class_index():
@@ -98,7 +98,8 @@ def test_ties_break_by_ascending_class_index():
     cfg = EvalConfig(k=4, temperature=0.5, class_count=10)
     query = np.zeros(4)
     query[0] = 1.0
-    scores, ranked = weighted_knn_predict(query, bank, cfg)
+    scores, ranked = weighted_knn_predict(query[None], bank, cfg)
+    scores, ranked = scores[0], ranked[0]
     # classes 1, 2 (orthogonal rows) tie exactly; 1 must precede 2
     assert scores[1] == scores[2]
     pos1 = np.where(ranked == 1)[0][0]
@@ -127,14 +128,14 @@ def test_bank_row_permutation_leaves_results_unchanged():
 def test_k_larger_than_bank_is_rejected():
     bank = FeatureBank(_unit_rows(5, 4, 11), np.zeros(5, dtype=np.int64))
     with pytest.raises(ValueError, match="exceeds bank size"):
-        weighted_knn_predict(_unit_rows(1, 4, 12)[0], bank, EvalConfig(k=6))
+        weighted_knn_predict(_unit_rows(1, 4, 12), bank, EvalConfig(k=6))
 
 
 def test_scores_positive_finite_for_any_temperature():
     bank = FeatureBank(_unit_rows(10, 6, 13), np.arange(10))
     for tau in (1e-2, 0.2, 5.0, 1e6):
         scores, _ = weighted_knn_predict(
-            _unit_rows(1, 6, 14)[0], bank, EvalConfig(k=10, temperature=tau)
+            _unit_rows(1, 6, 14), bank, EvalConfig(k=10, temperature=tau)
         )
         assert np.all(np.isfinite(scores)) and scores.sum() > 0
 

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccaps.autodiff import Tensor, l2_normalize
-from ccaps.loss import (
-    EmbeddingBatch,
-    nt_xent,
-    nt_xent_backward,
-    nt_xent_op,
-    similarity_matrix,
-)
+from ccaps.loss import nt_xent_op
 
 
 def _unit_rows(n, d, seed=0):
@@ -34,38 +28,16 @@ def brute_force_nt_xent(z, tau):
     return total / n2
 
 
-# -- similarity matrix ---------------------------------------------------------
+def _loss(z, tau):
+    """Value of the training loss node on a constant batch."""
+    return float(nt_xent_op(Tensor(z), tau).data)
 
 
-def test_similarity_identical_rows_all_ones():
-    row = _unit_rows(1, 6)[0]
-    batch = EmbeddingBatch(np.tile(row, (4, 1)), tau=0.2)
-    np.testing.assert_allclose(similarity_matrix(batch), 1.0, atol=1e-12)
-
-
-def test_similarity_orthogonal_rows():
-    z = np.eye(4)
-    s = similarity_matrix(EmbeddingBatch(z, tau=0.5))
-    np.testing.assert_allclose(s, np.eye(4), atol=1e-12)
-
-
-def test_similarity_matches_loop_oracle():
-    z = _unit_rows(8, 5, seed=1)
-    s = similarity_matrix(EmbeddingBatch(z, tau=0.2))
-    oracle = np.array([[z[i] @ z[j] for j in range(8)] for i in range(8)])
-    np.testing.assert_allclose(s, oracle, atol=1e-10)
-    np.testing.assert_allclose(s, s.T, atol=1e-12)
-    np.testing.assert_allclose(np.diag(s), 1.0, atol=1e-5)
-    assert s.min() >= -1 - 1e-9 and s.max() <= 1 + 1e-9
-
-
-def test_batch_validation():
-    with pytest.raises(ValueError, match="unit norm"):
-        EmbeddingBatch(np.ones((4, 3)), tau=0.2)
-    with pytest.raises(ValueError, match="even"):
-        EmbeddingBatch(_unit_rows(3, 4), tau=0.2)
-    with pytest.raises(ValueError, match="temperature"):
-        EmbeddingBatch(_unit_rows(4, 4), tau=0.0)
+def _grad(z, tau):
+    """Gradient of the training loss node with respect to the embedding rows."""
+    leaf = Tensor(z, requires_grad=True)
+    nt_xent_op(leaf, tau).backward()
+    return leaf.grad
 
 
 # -- loss values ----------------------------------------------------------------
@@ -73,22 +45,26 @@ def test_batch_validation():
 
 def test_single_identical_pair_gives_zero_loss():
     row = _unit_rows(1, 8, seed=2)[0]
-    batch = EmbeddingBatch(np.stack([row, row]), tau=0.2)
-    assert nt_xent(batch) == pytest.approx(0.0, abs=1e-9)
+    assert _loss(np.stack([row, row]), 0.2) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_all_identical_batch_gives_log_2n_minus_1():
     row = _unit_rows(1, 8, seed=3)[0]
     for n in (2, 4, 8):
-        batch = EmbeddingBatch(np.tile(row, (2 * n, 1)), tau=0.2)
-        assert nt_xent(batch) == pytest.approx(np.log(2 * n - 1), abs=1e-9)
-    batch4 = EmbeddingBatch(np.tile(row, (8, 1)), tau=0.2)
-    assert nt_xent(batch4) == pytest.approx(1.945910, abs=1e-6)  # ln 7
+        assert _loss(np.tile(row, (2 * n, 1)), 0.2) == pytest.approx(np.log(2 * n - 1), abs=1e-9)
+    assert _loss(np.tile(row, (8, 1)), 0.2) == pytest.approx(1.945910, abs=1e-6)  # ln 7
+
+
+def test_similarity_orthogonal_rows():
+    # every similarity is 0, positive included, so each anchor's loss is
+    # log(2N - 1) at any temperature
+    for tau in (0.05, 0.5, 2.0):
+        assert _loss(np.eye(6), tau) == pytest.approx(np.log(5), abs=1e-12)
 
 
 def test_flat_temperature_limit():
     z = _unit_rows(8, 16, seed=4)
-    loss = nt_xent(EmbeddingBatch(z, tau=1e6))
+    loss = _loss(z, 1e6)
     assert loss == pytest.approx(np.log(7), abs=1e-3)
 
 
@@ -99,13 +75,12 @@ def test_matches_brute_force_oracle():
         d = int(rng.integers(2, 17))
         tau = float(rng.uniform(0.05, 2.0))
         z = _unit_rows(2 * n, d, seed=100 + trial)
-        batch = EmbeddingBatch(z, tau=tau)
-        assert nt_xent(batch) == pytest.approx(brute_force_nt_xent(z, tau), abs=1e-8)
+        assert _loss(z, tau) == pytest.approx(brute_force_nt_xent(z, tau), abs=1e-8)
 
 
 def test_loss_is_nonnegative_and_positive_with_negatives():
     z = _unit_rows(6, 8, seed=6)
-    assert nt_xent(EmbeddingBatch(z, tau=0.2)) > 0.0
+    assert _loss(z, 0.2) > 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,8 +89,8 @@ def test_pair_permutation_invariance(seed, n):
     z = _unit_rows(2 * n, 8, seed=seed)
     perm = np.random.default_rng(seed + 1).permutation(n)
     permuted = np.concatenate([z[:n][perm], z[n:][perm]])
-    a = nt_xent(EmbeddingBatch(z, tau=0.2))
-    b = nt_xent(EmbeddingBatch(permuted, tau=0.2))
+    a = _loss(z, 0.2)
+    b = _loss(permuted, 0.2)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -123,11 +98,11 @@ def test_view_swap_invariance():
     n = 5
     z = _unit_rows(2 * n, 8, seed=7)
     swapped = np.concatenate([z[n:], z[:n]])
-    a = nt_xent(EmbeddingBatch(z, tau=0.3))
-    b = nt_xent(EmbeddingBatch(swapped, tau=0.3))
+    a = _loss(z, 0.3)
+    b = _loss(swapped, 0.3)
     assert a == pytest.approx(b, abs=1e-12)
-    ga = nt_xent_backward(EmbeddingBatch(z, tau=0.3))
-    gb = nt_xent_backward(EmbeddingBatch(swapped, tau=0.3))
+    ga = _grad(z, 0.3)
+    gb = _grad(swapped, 0.3)
     np.testing.assert_allclose(gb, np.concatenate([ga[n:], ga[:n]]), atol=1e-12)
 
 
@@ -143,9 +118,9 @@ def test_raising_a_negative_similarity_never_lowers_loss():
         for i in range(2 * n):
             z[i, i] = 1.0
         z[1] = np.sin(alpha) * np.eye(d)[0] + np.cos(alpha) * np.eye(d)[1]
-        return EmbeddingBatch(z, tau=0.2)
+        return z
 
-    losses = [nt_xent(batch(a)) for a in np.linspace(0.0, np.pi / 2, 12)]
+    losses = [_loss(batch(a), 0.2) for a in np.linspace(0.0, np.pi / 2, 12)]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] > losses[0]
 
@@ -154,8 +129,8 @@ def test_loss_depends_only_on_similarities():
     z = _unit_rows(8, 6, seed=9)
     q, _ = np.linalg.qr(np.random.default_rng(10).normal(size=(6, 6)))
     rotated = z @ q  # orthogonal map preserves all dot products
-    a = nt_xent(EmbeddingBatch(z, tau=0.2))
-    b = nt_xent(EmbeddingBatch(rotated, tau=0.2))
+    a = _loss(z, 0.2)
+    b = _loss(rotated, 0.2)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -165,7 +140,7 @@ def test_loss_depends_only_on_similarities():
 def test_backward_matches_finite_differences():
     n, d, tau = 3, 5, 0.2
     z = _unit_rows(2 * n, d, seed=11)
-    grad = nt_xent_backward(EmbeddingBatch(z, tau=tau))
+    grad = _grad(z, tau)
 
     step = 1e-6
     numeric = np.zeros_like(z)
@@ -174,11 +149,7 @@ def test_backward_matches_finite_differences():
             zp, zm = z.copy(), z.copy()
             zp[i, j] += step
             zm[i, j] -= step
-            from ccaps.loss import _loss_and_grad
-
-            numeric[i, j] = (
-                _loss_and_grad(zp, tau, False)[0] - _loss_and_grad(zm, tau, False)[0]
-            ) / (2 * step)
+            numeric[i, j] = (_loss(zp, tau) - _loss(zm, tau)) / (2 * step)
     rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-8)
     assert rel.max() < 1e-6
 
@@ -186,7 +157,7 @@ def test_backward_matches_finite_differences():
 def test_identical_rows_gradient_vanishes_along_common_direction():
     row = _unit_rows(1, 8, seed=12)[0]
     z = np.tile(row, (6, 1))
-    grad = nt_xent_backward(EmbeddingBatch(z, tau=0.2))
+    grad = _grad(z, 0.2)
     np.testing.assert_allclose(grad @ row, 0.0, atol=1e-10)
 
 
@@ -196,9 +167,7 @@ def test_nt_xent_op_matches_pure_function_and_backpropagates():
     t = Tensor(raw, requires_grad=True)
     z = l2_normalize(t, axis=1)
     loss = nt_xent_op(z, tau)
-    assert float(loss.data) == pytest.approx(
-        nt_xent(EmbeddingBatch(z.data, tau=tau)), abs=1e-12
-    )
+    assert float(loss.data) == pytest.approx(brute_force_nt_xent(z.data, tau), abs=1e-10)
     loss.backward()
     assert t.grad.shape == raw.shape
 
@@ -217,7 +186,11 @@ def test_nt_xent_op_matches_pure_function_and_backpropagates():
 
 
 def test_nt_xent_op_validates_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="temperature"):
         nt_xent_op(Tensor(_unit_rows(4, 3)), tau=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="temperature"):
+        nt_xent_op(Tensor(_unit_rows(4, 3)), tau=0.0)
+    with pytest.raises(ValueError, match=r"\[2N, D\]"):
         nt_xent_op(Tensor(_unit_rows(3, 3)), tau=0.2)
+    with pytest.raises(ValueError, match=r"\[2N, D\]"):
+        nt_xent_op(Tensor(_unit_rows(4, 3)[0]), tau=0.2)

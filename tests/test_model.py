@@ -1,17 +1,16 @@
 """Capsule network stages against shape math, loop oracles, and invariants."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccaps.autodiff import Tensor, capsule_votes, squash
-from ccaps.model import (
-    CapsuleNetwork,
-    ModelConfig,
-    capsules_to_feature_map,
-    dynamic_routing,
-)
+from ccaps.autodiff import Tensor, capsule_votes, conv2d, squash
+from ccaps.checkpoint import canonical_json
+from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
 
 TINY = ModelConfig(
     image_size=8,
@@ -46,8 +45,10 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip():
-    cfg = TINY
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    # the stored form: dataclasses.asdict through JSON, where tuples become lists
+    stored = json.loads(canonical_json(asdict(TINY)))
+    assert isinstance(stored["conv_channels"], list)
+    assert ModelConfig(**stored) == TINY
 
 
 # -- squash -------------------------------------------------------------------
@@ -272,17 +273,18 @@ def test_primary_caps_norms_below_one_and_reshape_inverts():
     norms = np.linalg.norm(u.data, axis=-1)
     assert np.all(norms < 1.0)
 
-    # index bijection: un-reshaping the pre-squash poses recovers the conv map
-    from ccaps.autodiff import conv2d
-
+    # the reshape is the index bijection: capsule g*G*G + i*G + j of image b
+    # is channel group g of the capsule convolution at grid cell (i, j)
     conv_out = conv2d(fmap, net.params["primary.weight"], stride=1, padding=1).data
-    grid = TINY.feature_grid
-    pre = (
-        conv_out.reshape(3, TINY.capsule_groups, TINY.capsule_dim, grid, grid)
-        .transpose(0, 1, 3, 4, 2)
-        .reshape(3, TINY.num_primary_capsules, TINY.capsule_dim)
-    )
-    np.testing.assert_array_equal(capsules_to_feature_map(pre, TINY), conv_out)
+    grid, dim = TINY.feature_grid, TINY.capsule_dim
+    for b in range(3):
+        for g in range(TINY.capsule_groups):
+            for i in range(grid):
+                for j in range(grid):
+                    pose = squash(Tensor(conv_out[b, g * dim : (g + 1) * dim, i, j])).data
+                    np.testing.assert_allclose(
+                        u.data[b, g * grid * grid + i * grid + j], pose, rtol=1e-12, atol=0
+                    )
 
 
 def test_forward_outputs_are_unit_norm():

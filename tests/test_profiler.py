@@ -1,7 +1,6 @@
 """Profiler: per-layer counts, MAC formulas, scaling, audit, checkpoint cross-audit."""
 
 import numpy as np
-import pytest
 
 from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.profiler import (
@@ -44,13 +43,9 @@ def test_totals():
 def test_conv_mac_total_and_flop_conventions():
     flops = count_flops(DEFAULT)
     assert flops.conv_total == 18_137_088
-    assert flops.headline_total == flops.conv_total
-    assert flops.doubled_total == 2 * flops.conv_total
+    assert flops.doubled_total == 2 * 18_137_088
     assert flops.votes_macs == 512 * 10 * 16 * 16
     assert flops.routing_macs_per_iteration == 2 * 512 * 10 * 16
-    assert count_flops(DEFAULT, convention="2mac").headline_total == 2 * 18_137_088
-    with pytest.raises(ValueError, match="convention"):
-        count_flops(DEFAULT, convention="flops")
 
 
 def test_counts_are_additive_over_layers():

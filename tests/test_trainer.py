@@ -1,9 +1,13 @@
 """Adam oracle, training determinism, resume equivalence, label hygiene."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ccaps.augment import AugmentConfig
 from ccaps.autodiff import Tensor
+from ccaps.checkpoint import CheckpointError, canonical_json
 from ccaps.data import load_cifar10_binary
 from ccaps.model import ModelConfig
 from ccaps.train import (
@@ -16,7 +20,6 @@ from ccaps.train import (
     TrainingError,
     network_from_record,
     read_metrics_csv,
-    resume,
     train,
     write_metrics_csv,
 )
@@ -155,7 +158,39 @@ def test_config_validation():
 def test_config_dict_round_trip():
     cfg = _config(eval_every=2, checkpoint_every=1)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-    assert TrainConfig.from_dict(cfg.to_dict()).hash() == cfg.hash()
+    # as read back from a checkpoint, where JSON has turned tuples into lists
+    stored = json.loads(canonical_json(cfg.to_dict()))
+    assert TrainConfig.from_dict(stored) == cfg
+    assert TrainConfig.from_dict(stored).hash() == cfg.hash()
+
+
+def test_config_hashes_are_stable():
+    # a checkpoint resumes only under the hash it was written with
+    assert TrainConfig().hash() == "53e21cb962ca3d63dd8bda7319ebe5b6ff6101cb399e5d10e073f81a9bc8d32a"
+    custom = _config(
+        temperature=0.5,
+        augment=AugmentConfig(crop_scale_range=(0.3, 0.9), jitter_strengths=(0.1, 0.2, 0.3, 0.05)),
+        model=ModelConfig(
+            conv_channels=(4, 8, 16), conv_strides=(2, 2, 2),
+            primary_channels=16, capsule_dim=4, class_capsule_dim=4,
+        ),
+    )
+    assert custom.hash() == "7a30fe8a87f462137aa3e2a2b34b7f3b60c139685f7809accfbfdde8b4a471c6"
+
+
+def test_config_from_dict_names_a_missing_or_unknown_key():
+    stored = TrainConfig().to_dict()
+    del stored["model"]["padding"]
+    with pytest.raises(CheckpointError, match="config.model: no 'padding' key"):
+        TrainConfig.from_dict(stored)
+    stored = TrainConfig().to_dict()
+    stored["augment"]["blur_probability"] = 0.5
+    with pytest.raises(CheckpointError, match="config.augment: unknown key 'blur_probability'"):
+        TrainConfig.from_dict(stored)
+    stored = TrainConfig().to_dict()
+    stored["temperature"] = "warm"
+    with pytest.raises(CheckpointError, match="invalid"):
+        TrainConfig.from_dict(stored)
 
 
 def test_config_from_dict_drops_the_removed_augment_seed():
@@ -199,7 +234,7 @@ def test_split_run_equals_straight_run_bitwise(train_subset, tmp_path):
     cfg_snap = _config(epochs=4, checkpoint_every=2)
     train(cfg_snap, train_subset, checkpoint_dir=tmp_path / "snap")
     record = CheckpointRecord.load(tmp_path / "snap" / "epoch_0002.ckpt")
-    resumed = resume(record, cfg_snap, train_subset)
+    resumed = train(cfg_snap, train_subset, resume_from=record)
     straight = train(cfg_snap, train_subset)
     a = straight.checkpoint.save(tmp_path / "straight.ckpt")
     b = resumed.checkpoint.save(tmp_path / "resumed.ckpt")
@@ -207,7 +242,7 @@ def test_split_run_equals_straight_run_bitwise(train_subset, tmp_path):
 
     # extension flavor: train 2, resume to 4, compare to a straight 4-epoch run
     two = train(_config(epochs=2), train_subset)
-    extended = resume(two.checkpoint, _config(epochs=4), train_subset)
+    extended = train(_config(epochs=4), train_subset, resume_from=two.checkpoint)
     c = train(_config(epochs=4), train_subset).checkpoint.save(tmp_path / "c.ckpt")
     d = extended.checkpoint.save(tmp_path / "d.ckpt")
     assert c.read_bytes() == d.read_bytes()
@@ -216,9 +251,9 @@ def test_split_run_equals_straight_run_bitwise(train_subset, tmp_path):
 def test_resume_rejects_trajectory_config_change(train_subset):
     done = train(_config(epochs=1), train_subset)
     with pytest.raises(CheckpointMismatchError):
-        resume(done.checkpoint, _config(epochs=2, seed=99), train_subset)
+        train(_config(epochs=2, seed=99), train_subset, resume_from=done.checkpoint)
     with pytest.raises(CheckpointMismatchError):
-        resume(done.checkpoint, _config(epochs=2, learning_rate=5e-4), train_subset)
+        train(_config(epochs=2, learning_rate=5e-4), train_subset, resume_from=done.checkpoint)
 
 
 def test_resumed_metrics_file_reads_as_one_run(train_subset, tmp_path):
@@ -228,14 +263,14 @@ def test_resumed_metrics_file_reads_as_one_run(train_subset, tmp_path):
 
     resumed_path = tmp_path / "resumed.csv"
     two = train(_config(epochs=2), train_subset, metrics_path=resumed_path)
-    resume(two.checkpoint, cfg4, train_subset, metrics_path=resumed_path)
+    train(cfg4, train_subset, metrics_path=resumed_path, resume_from=two.checkpoint)
     assert straight_path.read_bytes() == resumed_path.read_bytes()
 
 
 def test_resume_at_final_epoch_is_noop(train_subset):
     cfg = _config(epochs=2)
     done = train(cfg, train_subset)
-    again = resume(done.checkpoint, cfg, train_subset)
+    again = train(cfg, train_subset, resume_from=done.checkpoint)
     assert again.metrics == []
     assert again.checkpoint is done.checkpoint
 
@@ -244,7 +279,7 @@ def test_resumed_epoch_reproduces_recorded_loss(train_subset, tmp_path):
     cfg = _config(epochs=3, checkpoint_every=1)
     full = train(cfg, train_subset, checkpoint_dir=tmp_path)
     record = CheckpointRecord.load(tmp_path / "epoch_0002.ckpt")
-    tail = resume(record, cfg, train_subset)
+    tail = train(cfg, train_subset, resume_from=record)
     assert len(tail.metrics) == 1
     assert tail.metrics[0].loss == full.metrics[2].loss
 
