@@ -1,14 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A :class:`Tensor` wraps an ndarray and records the operation that produced
-it. Calling ``backward()`` on a scalar result walks the recorded graph in
-reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``. Only the operations the capsule
-network needs exist here; each fused kernel (conv2d, batch norm, squash,
-capsule votes, routing by agreement) carries a hand-derived backward.
-Routing is one node for all of its iterations: its backward walks the
-iterations in reverse from the stored couplings and poses, so no
-per-iteration graph is built.
+A :class:`Tensor` wraps an ndarray and records the node that produced it.
+``backward(grad)`` takes an output gradient of the tensor's own shape (one,
+for a scalar loss), walks the graph in reverse topological order and
+accumulates gradients into every tensor created with ``requires_grad``.
+The tests probe a node through a projection: ``out.backward(proj)`` is the
+backward of the loss ``sum(out * proj)``.
+
+Only the nodes the capsule network runs exist here, each with a
+hand-derived backward: ``reshape``, ``transpose`` and ``relu`` on
+:class:`Tensor`, and ``concat``, ``conv2d``, ``batch_norm2d``, ``squash``,
+``l2_normalize``, ``capsule_votes`` and ``routing_by_agreement`` (one
+node for all of its iterations).
 
 Image tensors have NCHW shapes and NHWC memory: ``conv2d`` returns its
 output, and its input gradient, as ``transpose(0, 3, 1, 2)`` views of
@@ -16,9 +19,8 @@ channels-last buffers. Batch norm and ReLU are elementwise in memory
 order, so the whole conv block, forward and backward, stays channels-last
 without a layout copy between layers.
 
-dtype follows the inputs: training runs in float32, verification oracles
-construct float64 tensors and get float64 gradients. Graphs are single
-use: build a fresh forward pass for every backward.
+dtype follows the inputs: float32 in training, float64 in the verification
+oracles. Graphs are single use: build a fresh forward for every backward.
 """
 
 from __future__ import annotations
@@ -38,17 +40,6 @@ __all__ = [
 
 # Norms below this are treated as zero when a normalizing division is needed.
 _NORM_FLOOR = 1e-12
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -81,11 +72,13 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Accumulate gradients of this (scalar) tensor into the graph."""
+        """Accumulate the gradients of ``sum(self * grad)`` into the graph."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.shape:
+            raise ValueError(f"backward(): gradient shape {np.shape(grad)} != tensor shape {self.shape}")
         # iterative post-order DFS; recursion would overflow on deep graphs
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -110,71 +103,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # -- elementwise arithmetic ------------------------------------------
-
-    def __add__(self, other):
-        # python scalars stay scalars so float32 graphs do not upcast
-        if isinstance(other, (int, float)):
-            out = _node(self.data + other, (self,))
-            if out._parents:
-                out._backward = lambda g: self._accum(g)
-            return out
-        other = _as_tensor(other)
-        out = _node(self.data + other.data, (self, other))
-        if out._parents:
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accum(_unbroadcast(g, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accum(_unbroadcast(g, other.data.shape))
-            out._backward = bw
-        return out
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            out = _node(self.data * other, (self,))
-            if out._parents:
-                out._backward = lambda g: self._accum(g * other)
-            return out
-        other = _as_tensor(other)
-        out = _node(self.data * other.data, (self, other))
-        if out._parents:
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accum(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accum(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = bw
-        return out
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
-
-    def __truediv__(self, other):
-        return self * (1.0 / other)
-
-    def __matmul__(self, other):
-        other = _as_tensor(other)
-        out = _node(np.matmul(self.data, other.data), (self, other))
-        if out._parents:
-            def bw(g):
-                if self.requires_grad or self._parents:
-                    self._accum(_unbroadcast(np.matmul(g, other.data.swapaxes(-1, -2)), self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accum(_unbroadcast(np.matmul(self.data.swapaxes(-1, -2), g), other.data.shape))
-            out._backward = bw
-        return out
-
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
@@ -197,24 +125,6 @@ class Tensor:
                 self._accum(g.transpose(inverse))
             out._backward = bw
         return out
-
-    # -- reductions and nonlinearities ------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            def bw(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape))
-            out._backward = bw
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def relu(self):
         mask = self.data > 0

@@ -221,10 +221,6 @@ class CapsuleNetwork:
         out.update({name: arr.copy() for name, arr in self.buffers.items()})
         return out
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
-
     # -- stages -----------------------------------------------------------
 
     def conv_block(self, x, mode: str = "eval", update_running: bool = True) -> Tensor:

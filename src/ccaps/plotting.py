@@ -9,12 +9,11 @@ can recover the plotted series without geometric inversion.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 from .train import read_metrics_csv
 
-__all__ = ["render_series_svg", "extract_series", "plot_metrics_csv", "PlotError"]
+__all__ = ["render_series_svg", "plot_metrics_csv", "PlotError"]
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 20, 20, 50
@@ -98,18 +97,6 @@ def render_series_svg(xs: list[float], ys: list[float], x_label: str, y_label: s
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-_POINT_RE = re.compile(r"<circle[^>]*data-x=\"([^\"]+)\"\s+data-y=\"([^\"]+)\"")
-
-
-def extract_series(svg_text: str) -> tuple[list[float], list[float]]:
-    """Recover the exact plotted values written by :func:`render_series_svg`."""
-    xs, ys = [], []
-    for match in _POINT_RE.finditer(svg_text):
-        xs.append(float(match.group(1)))
-        ys.append(float(match.group(2)))
-    return xs, ys
 
 
 def plot_metrics_csv(csv_path: str | Path, out_dir: str | Path) -> list[Path]:

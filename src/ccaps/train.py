@@ -313,10 +313,19 @@ def _build_record(
     return CheckpointRecord(arrays=arrays, meta=meta)
 
 
+def _require(record: CheckpointRecord, arrays=(), meta=()) -> None:
+    """Raise :class:`CheckpointError` naming the first array or meta key `record` lacks."""
+    for key in arrays:
+        if key not in record.arrays:
+            raise CheckpointError(f"checkpoint has no {key!r} array")
+    for key in meta:
+        if key not in record.meta:
+            raise CheckpointError(f"checkpoint metadata has no {key!r} key")
+
+
 def network_from_record(record: CheckpointRecord):
     """Rebuild (network, stats, config) from a checkpoint record."""
-    if "config" not in record.meta:
-        raise CheckpointError("checkpoint metadata has no 'config' key")
+    _require(record, arrays=("norm.mean", "norm.std"), meta=("config",))
     config = TrainConfig.from_dict(record.meta["config"])
     model_arrays = {
         k: v for k, v in record.arrays.items() if not k.startswith(("adam.", "norm."))
@@ -353,6 +362,7 @@ def train(
             )
         net, stats, _ = network_from_record(resume_from)
         adam = Adam(net.trainable(), config.learning_rate, config.weight_decay)
+        _require(resume_from, arrays=adam.state_arrays(), meta=("adam_steps", "epoch"))
         adam.load_state(resume_from.arrays, int(resume_from.meta["adam_steps"]))
         start_epoch = resume_from.epoch
         if start_epoch >= config.epochs:

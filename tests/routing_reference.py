@@ -1,44 +1,36 @@
-"""Routing by agreement built from generic graph nodes: the reference oracle.
+"""Routing by agreement in plain numpy: the reference oracle.
 
-This is the per-iteration graph that ``model.dynamic_routing`` built
-before routing became one fused node (reshape, broadcast multiply, sum,
-softmax, squash and add for every iteration). Its gradients come from the
-generic nodes' backward rules, so it checks the fused kernel's
-hand-derived backward independently. Run it in float64. The softmax node
-it needs lives here too, since no model code uses it.
+Procedure 1 of Sabour et al. (arXiv:1710.09829) written line by line over
+the votes' own [B, M, P, D] layout, one iteration at a time, with its own
+softmax and squash. It shares no code with the fused
+``autodiff.routing_by_agreement`` node it checks; the node's gradients are
+checked against central differences of this forward. Run it in float64.
 """
 
 import numpy as np
 
-from ccaps.autodiff import Tensor, _as_tensor, _node, _softmax, squash
-from ccaps.model import RoutingState
+
+def softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically safe softmax along `axis` (max-subtracted)."""
-    x = _as_tensor(x)
-    value = _softmax(x.data, axis)
-    out = _node(value, (x,))
-    if out._parents:
-        def bw(g):
-            x._accum(value * (g - (g * value).sum(axis=axis, keepdims=True)))
-        out._backward = bw
-    return out
+def squash(s: np.ndarray) -> np.ndarray:
+    """v = |s|^2 / (1 + |s|^2) * s / |s| over the last axis; zero stays zero."""
+    sq = (s * s).sum(axis=-1, keepdims=True)
+    norm = np.sqrt(sq)
+    scale = np.divide(sq, (1.0 + sq) * norm, out=np.zeros_like(norm), where=norm > 0)
+    return scale * s
 
 
-def generic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:
-    batch, children, parents, dim = u_hat.shape
-    b = Tensor(np.zeros((batch, children, parents), dtype=u_hat.dtype))
-    history = []
-    y = None
+def reference_routing(u_hat: np.ndarray, iterations: int):
+    """Votes [B, M, P, D] -> (y [B, P, D], logits [B, M, P], couplings per iteration)."""
+    b = np.zeros(u_hat.shape[:3])
+    couplings = []
     for _ in range(iterations):
-        c = softmax(b, axis=2)
-        history.append(c.data.copy())
-        s = (c.reshape(batch, children, parents, 1) * u_hat).sum(axis=1)
-        y = squash(s, axis=-1)
-        agreement = (u_hat * y.reshape(batch, 1, parents, dim)).sum(axis=-1)
-        b = b + agreement
-    state = RoutingState(
-        logits=b.data.copy(), couplings=history[-1], coupling_history=tuple(history)
-    )
-    return y, state
+        c = softmax(b, axis=2)  # line 4: each child's couplings over the parents
+        s = np.einsum("bmp,bmpd->bpd", c, u_hat)  # line 5: weighted sum of votes
+        y = squash(s)  # line 6
+        b = b + np.einsum("bmpd,bpd->bmp", u_hat, y)  # line 7: agreement
+        couplings.append(c)
+    return y, b, couplings

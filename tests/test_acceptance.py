@@ -171,9 +171,7 @@ def test_c5_gradient_correctness_full_sweep():
         o2 = net.forward(x2, mode="train", routing_iterations=3, update_running=False)
         return nt_xent_op(concat([o1.z, o2.z], axis=0), 0.2)
 
-    loss = loss_value()
-    net.zero_grad()
-    loss.backward()
+    loss_value().backward()  # the network is fresh: every gradient slot is empty
 
     step = 1e-4
     total = 0

@@ -423,6 +423,33 @@ def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_
         assert err.startswith("error:") and named in err, err
 
 
+def test_cli_checkpoint_missing_a_record_key_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys):
+    _, out = cli_run
+    record = CheckpointRecord.load(out / "ckpt" / "final.ckpt")
+    arrays = {k: v for k, v in record.arrays.items() if k != "norm.std"}
+    no_norm = CheckpointRecord(arrays=arrays, meta=record.meta).save(tmp_path / "no-norm.ckpt")
+    rc = main(["eval", "--checkpoint", str(no_norm), "--data-dir", str(small_data_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "'norm.std'" in err, err
+
+    meta = {k: v for k, v in record.meta.items() if k != "adam_steps"}
+    no_steps = CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / "no-steps.ckpt")
+    rc = main(
+        [
+            "train",
+            "--data-dir", str(small_data_dir),
+            "--checkpoint-dir", str(tmp_path / "resumed"),
+            "--epochs", "3",
+            "--batch-size", "16",
+            "--subset", "64",
+            "--seed", "1",
+            "--resume", str(no_steps),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and "'adam_steps'" in err, err
+
+
 def test_cli_resume_continues_run(cli_run, small_data_dir, tmp_path, capsys):
     _, out = cli_run
     rc = main(

@@ -2,7 +2,8 @@
 
 These run the reduced architecture in float64; the engine's per-kernel
 checks live in test_autodiff.py. The full end-to-end sweep over every
-parameter coordinate is part of the acceptance suite.
+parameter coordinate is part of the acceptance suite. Each test builds a
+fresh network, so every gradient slot starts empty.
 """
 
 import numpy as np
@@ -40,9 +41,7 @@ def test_end_to_end_gradients_on_sampled_coordinates():
     x1 = rng.normal(size=(4, 3, 8, 8))
     x2 = rng.normal(size=(4, 3, 8, 8))
 
-    loss = siamese_loss(net, x1, x2)
-    net.zero_grad()
-    loss.backward()
+    siamese_loss(net, x1, x2).backward()
 
     step = 1e-5
     checked = 0
@@ -67,14 +66,13 @@ def test_end_to_end_gradients_on_sampled_coordinates():
 def test_gradient_flows_through_every_routing_iteration():
     # with > 1 iteration, coupling updates depend on the votes; the vote
     # weight gradient must therefore differ between 1 and 3 iterations
-    net = make_net(3)
     rng = np.random.default_rng(4)
     x1 = rng.normal(size=(4, 3, 8, 8))
     x2 = rng.normal(size=(4, 3, 8, 8))
 
     grads = {}
     for iters in (1, 3):
-        net.zero_grad()
+        net = make_net(3)
         siamese_loss(net, x1, x2, iters=iters).backward()
         grads[iters] = net.params["class_caps.weight"].grad.copy()
     assert not np.allclose(grads[1], grads[3])
@@ -85,8 +83,7 @@ def test_unused_parameter_gets_no_gradient():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 3, 8, 8))
     h = net.conv_block(Tensor(x), mode="train", update_running=False)
-    net.zero_grad()
-    (h * h).sum().backward()
+    h.backward(rng.normal(size=h.shape))
     # conv-block-only loss: capsule weights never touched
     assert net.params["class_caps.weight"].grad is None
     assert net.params["primary.weight"].grad is None
@@ -94,19 +91,19 @@ def test_unused_parameter_gets_no_gradient():
 
 
 def test_backward_is_linear_in_the_loss():
-    net = make_net(7)
     rng = np.random.default_rng(8)
     x1 = rng.normal(size=(4, 3, 8, 8))
     x2 = rng.normal(size=(4, 3, 8, 8))
     # a random projection: sum(z * z) would be constant over unit-norm rows
-    w = Tensor(rng.normal(size=(4, REDUCED.embedding_dim)))
+    w = rng.normal(size=(4, REDUCED.embedding_dim))
 
     def grad_with_scale(a, b):
-        net.zero_grad()
+        # a * l1 + b * sum(z * w) as one backward over both losses joined
+        net = make_net(7)
         l1 = siamese_loss(net, x1, x2, iters=2)
         z = net.forward(x1, mode="eval").z
-        l2 = (z * w).sum()
-        (l1 * a + l2 * b).backward()
+        both = concat([l1.reshape(1), z.reshape(w.size)])
+        both.backward(np.concatenate([[a], b * w.ravel()]))
         return {k: t.grad.copy() for k, t in net.trainable().items()}
 
     g_mixed = grad_with_scale(2.0, -0.5)
@@ -126,11 +123,10 @@ def test_input_gradient_through_train_mode_batch_norm():
 
     def value(arr):
         out = net.conv_block(Tensor(arr), mode="train", update_running=False)
-        return float((out * Tensor(proj)).sum().data)
+        return float((out.data * proj).sum())
 
     t = Tensor(x.copy(), requires_grad=True)
-    out = net.conv_block(t, mode="train", update_running=False)
-    (out * Tensor(proj)).sum().backward()
+    net.conv_block(t, mode="train", update_running=False).backward(proj)
 
     step = 1e-5
     for i, j, a, b in [(0, 0, 2, 3), (1, 2, 0, 0), (3, 1, 7, 5)]:

@@ -254,7 +254,7 @@ def test_conv_block_stays_channels_last_forward_and_backward(monkeypatch):
     x = np.random.default_rng(11).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out = net.conv_block(Tensor(x, requires_grad=True), mode="train", update_running=False)
     activations.append(("relu output", out.data))
-    (out * out).sum().backward()
+    out.backward(2 * out.data)  # the gradient of sum(out ** 2), in out's own layout
 
     assert len(activations) == 3 * 6 + 1 and len(conv_grads) == 6
     for i, (what, a) in enumerate(activations[1:], start=1):  # [0] is the NCHW image batch

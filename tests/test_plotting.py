@@ -1,9 +1,22 @@
 """SVG rendering: determinism, round trip, error cases."""
 
+import re
+
 import pytest
 
-from ccaps.plotting import PlotError, extract_series, plot_metrics_csv, render_series_svg
+from ccaps.plotting import PlotError, plot_metrics_csv, render_series_svg
 from ccaps.train import MetricsRow, write_metrics_csv
+
+_POINT_RE = re.compile(r"<circle[^>]*data-x=\"([^\"]+)\"\s+data-y=\"([^\"]+)\"")
+
+
+def extract_series(svg_text: str) -> tuple[list[float], list[float]]:
+    """Recover the exact plotted values from the markers' data-x / data-y attributes."""
+    xs, ys = [], []
+    for match in _POINT_RE.finditer(svg_text):
+        xs.append(float(match.group(1)))
+        ys.append(float(match.group(2)))
+    return xs, ys
 
 
 def test_identical_input_identical_bytes():

@@ -284,6 +284,37 @@ def test_resumed_epoch_reproduces_recorded_loss(train_subset, tmp_path):
     assert tail.metrics[0].loss == full.metrics[2].loss
 
 
+def _without(record: CheckpointRecord, array: str = "", meta: str = "") -> CheckpointRecord:
+    """`record` less one array and/or one meta key."""
+    return CheckpointRecord(
+        arrays={k: v for k, v in record.arrays.items() if k != array},
+        meta={k: v for k, v in record.meta.items() if k != meta},
+    )
+
+
+@pytest.fixture(scope="module")
+def one_epoch_record(train_subset) -> CheckpointRecord:
+    return train(_config(epochs=1), train_subset).checkpoint
+
+
+def test_network_from_record_names_a_missing_norm_array(one_epoch_record):
+    for name in ("norm.mean", "norm.std"):
+        with pytest.raises(CheckpointError, match=name):
+            network_from_record(_without(one_epoch_record, array=name))
+
+
+def test_resume_names_a_missing_meta_key(one_epoch_record, train_subset):
+    for key in ("adam_steps", "epoch"):
+        with pytest.raises(CheckpointError, match=key):
+            train(_config(), train_subset, resume_from=_without(one_epoch_record, meta=key))
+
+
+def test_resume_names_a_missing_adam_moment(one_epoch_record, train_subset):
+    for name in ("adam.m.conv1.weight", "adam.v.class_caps.weight"):
+        with pytest.raises(CheckpointError, match=name):
+            train(_config(), train_subset, resume_from=_without(one_epoch_record, array=name))
+
+
 def test_checkpoint_reload_reproduces_eval_forward_bitwise(train_subset):
     cfg = _config(epochs=1)
     result = train(cfg, train_subset)
