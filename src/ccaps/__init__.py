@@ -42,7 +42,7 @@ from .model import (
     RoutingState,
     dynamic_routing,
 )
-from .profiler import audit_reported_totals, count_flops, count_params, layer_reports
+from .profiler import count_flops, count_params, layer_reports
 from .train import (
     Adam,
     CheckpointRecord,

@@ -21,9 +21,14 @@ without a layout copy between layers.
 
 dtype follows the inputs: float32 in training, float64 in the verification
 oracles. Graphs are single use: build a fresh forward for every backward.
+Inside ``with no_grad():`` nothing is recorded, which is how feature
+extraction runs.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -36,10 +41,23 @@ __all__ = [
     "l2_normalize",
     "capsule_votes",
     "routing_by_agreement",
+    "no_grad",
 ]
 
 # Norms below this are treated as zero when a normalizing division is needed.
 _NORM_FLOOR = 1e-12
+
+_RECORDING = contextvars.ContextVar("ccaps_autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside the block every node is a leaf: no graph, no saved intermediates."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -141,10 +159,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
-    """Graph node; parents are dropped when nothing upstream needs grads."""
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+    """Graph node; parents are dropped under ``no_grad`` or when nothing
+    upstream needs grads."""
     out = Tensor(data)
-    if tracked:
+    if _RECORDING.get() and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
     return out
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -30,6 +31,9 @@ import numpy as np
 
 MAGIC = b"CCAPSCKP"
 FORMAT_VERSION = 1
+_ENTRY_KEYS = frozenset({"name", "dtype", "shape", "offset", "nbytes"})
+# The numeric dtypes a manifest may name; object, void and big-endian are refused.
+_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8", "<f2", "<f4", "<f8")
 
 
 class CheckpointError(Exception):
@@ -104,15 +108,45 @@ def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dic
         header = json.loads(raw[body_start:header_end].decode())
         manifest = header["arrays"]
         meta = header["meta"]
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: corrupt header: meta is not a mapping")
 
     arrays: dict[str, np.ndarray] = {}
-    payload = raw[header_end:]
-    for entry in manifest:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(payload):
-            raise CheckpointError(f"{path}: truncated payload at array {entry['name']!r}")
-        arr = np.frombuffer(payload[lo:hi], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    for entry in _checked_manifest(path, manifest, len(raw) - header_end):
+        arr = np.frombuffer(raw, entry["dtype"], math.prod(entry["shape"]), header_end + entry["offset"])
+        try:  # numpy's own limits on rank and dimension sizes
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: array {entry['name']!r}: {exc}") from exc
     return arrays, meta
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # JSON true/false are not counts
+
+
+def _checked_manifest(path: Path, manifest, payload_size: int) -> list[dict]:
+    """The manifest, each entry proven to describe a numeric array inside the payload."""
+    if not isinstance(manifest, list):
+        raise CheckpointError(f"{path}: corrupt manifest: not a list")
+    names = set()
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict) or set(entry) != _ENTRY_KEYS:
+            raise CheckpointError(f"{path}: corrupt manifest entry {i}: need exactly {sorted(_ENTRY_KEYS)}")
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if not isinstance(name, str) or name in names:
+            raise CheckpointError(f"{path}: corrupt manifest entry {i}: bad or repeated name {name!r}")
+        names.add(name)
+        if dtype not in _DTYPES:
+            raise CheckpointError(f"{path}: array {name!r}: dtype {dtype!r} is not allowed")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))):
+            raise CheckpointError(f"{path}: array {name!r}: bad shape {shape!r}")
+        if not (_is_count(entry["offset"]) and _is_count(entry["nbytes"])):
+            raise CheckpointError(f"{path}: array {name!r}: offset and nbytes must be counts")
+        if entry["nbytes"] != math.prod(shape) * np.dtype(dtype).itemsize:
+            raise CheckpointError(f"{path}: array {name!r}: nbytes does not match shape {shape}")
+        if entry["offset"] + entry["nbytes"] > payload_size:
+            raise CheckpointError(f"{path}: truncated payload at array {name!r}")
+    return manifest

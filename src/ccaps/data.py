@@ -139,13 +139,16 @@ def memory_view(train: DatasetSplit) -> DatasetSplit:
     return DatasetSplit(train.images, train.labels, "memory")
 
 
-def compute_normalization_stats(split: DatasetSplit, chunk: int = 2048) -> NormalizationStats:
+_STATS_CHUNK = 2048  # images converted to float64 at a time
+
+
+def compute_normalization_stats(split: DatasetSplit) -> NormalizationStats:
     """Two-moment accumulation over the split's pixels scaled to [0, 1]."""
     total = np.zeros(3, dtype=np.float64)
     total_sq = np.zeros(3, dtype=np.float64)
     count = 0
-    for start in range(0, len(split), chunk):
-        block = split.images[start : start + chunk].astype(np.float64) / 255.0
+    for start in range(0, len(split), _STATS_CHUNK):
+        block = split.images[start : start + _STATS_CHUNK].astype(np.float64) / 255.0
         total += block.sum(axis=(0, 2, 3))
         total_sq += (block * block).sum(axis=(0, 2, 3))
         count += block.shape[0] * block.shape[2] * block.shape[3]
@@ -174,7 +177,6 @@ class Batch:
 
     indices: np.ndarray
     images: np.ndarray  # uint8 [size, 3, 32, 32]
-    labels: np.ndarray | None
 
     @property
     def size(self) -> int:
@@ -203,5 +205,4 @@ def batch_iterator(
         order = np.arange(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
-        labels = None if split.labels is None else split.labels[idx]
-        yield Batch(indices=idx, images=split.images[idx], labels=labels)
+        yield Batch(indices=idx, images=split.images[idx])

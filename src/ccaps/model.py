@@ -43,7 +43,6 @@ __all__ = [
     "ForwardOutput",
     "CapsuleNetwork",
     "dynamic_routing",
-    "squash",
 ]
 
 
@@ -184,20 +183,22 @@ class CapsuleNetwork:
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
-        self.dtype = np.dtype(dtype)
-        arrays = _init_arrays(config, seed, self.dtype)
+        arrays = _init_arrays(config, seed, dtype)
         self._adopt(arrays)
 
     @classmethod
     def from_state(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "CapsuleNetwork":
         net = cls.__new__(cls)
         net.config = config
-        expected = set(_init_arrays(config, 0, np.float32))
-        if set(arrays) != expected:
-            missing = expected - set(arrays)
-            extra = set(arrays) - expected
+        expected = _init_arrays(config, 0, np.float32)
+        if set(arrays) != set(expected):
+            missing = set(expected) - set(arrays)
+            extra = set(arrays) - set(expected)
             raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        net.dtype = np.dtype(arrays["conv1.weight"].dtype)
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            if arr.shape != expected[name].shape or arr.dtype.kind != "f":
+                raise ValueError(f"state {name!r}: {arr.dtype} {arr.shape}, expected float {expected[name].shape}")
         net._adopt({k: np.array(v) for k, v in arrays.items()})
         return net
 

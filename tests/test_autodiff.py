@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ccaps import autodiff
 from ccaps.autodiff import (
     Tensor,
     _softmax,
@@ -17,8 +18,10 @@ from ccaps.autodiff import (
     concat,
     conv2d,
     l2_normalize,
+    no_grad,
     squash,
 )
+from ccaps.model import CapsuleNetwork, ModelConfig
 from gradcheck import check_grad
 
 RNG = np.random.default_rng(1234)
@@ -264,6 +267,28 @@ def test_no_graph_when_nothing_requires_grad():
     a = Tensor(RNG.normal(size=(3,)))
     out = concat([squash(a).reshape(1, 3), a.relu().reshape(1, 3)]).transpose(1, 0)
     assert out._parents == ()
+
+
+def test_no_grad_records_no_node_and_restores_recording(monkeypatch):
+    config = ModelConfig(image_size=8, conv_channels=(4, 8), conv_strides=(1, 2),
+                         primary_channels=8, capsule_dim=4, class_capsule_dim=4)
+    net = CapsuleNetwork(config, seed=0)
+    x = Tensor(RNG.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    nodes = []
+    make_node = autodiff._node
+
+    def spy(data, parents):
+        nodes.append(make_node(data, parents))
+        return nodes[-1]
+
+    monkeypatch.setattr(autodiff, "_node", spy)
+    with no_grad():
+        net.forward(x, mode="train", routing_iterations=2)
+    assert nodes and all(n._parents == () and n._backward is None for n in nodes)
+    with pytest.raises(RuntimeError):  # leaving the block by an error restores recording too
+        with no_grad():
+            raise RuntimeError
+    assert net.forward(x, mode="train", routing_iterations=2).z._parents != ()
 
 
 def test_float32_graph_stays_float32():

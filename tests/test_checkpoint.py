@@ -1,9 +1,15 @@
 """Checkpoint container: round trip, byte stability, corruption handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccaps.checkpoint import (
+    MAGIC,
     CheckpointError,
     config_hash,
     load_checkpoint,
@@ -59,6 +65,90 @@ def test_truncated_payload_is_rejected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def _with_header(raw: bytes, mutate) -> bytes:
+    """The same container with its JSON header replaced by `mutate(header)`."""
+    start = len(MAGIC) + 12
+    end = start + struct.unpack_from("<Q", raw, len(MAGIC) + 4)[0]
+    text = json.dumps(mutate(json.loads(raw[start:end]))).encode()
+    return raw[: len(MAGIC) + 4] + struct.pack("<Q", len(text)) + text + raw[end:]
+
+
+def _first_entry(header, entry):
+    return {**header, "arrays": [entry, *header["arrays"][1:]]}
+
+
+def _set(field, value):
+    return lambda h: _first_entry(h, {**h["arrays"][0], field: value})
+
+
+def _append(**fields):
+    return lambda h: {**h, "arrays": [*h["arrays"], {**h["arrays"][0], "name": "extra", **fields}]}
+
+
+HOSTILE_HEADERS = {
+    "negative offset": _set("offset", -8),
+    "boolean offset": _set("offset", True),
+    "object dtype": _set("dtype", "|O"),
+    "shape not matching the bytes": _set("shape", [2, 3]),
+    "extra entry key": _set("order", "C"),
+    "empty array of huge dimensions": _append(shape=[0, 2**70], nbytes=0),
+    "empty array of rank 70": _append(shape=[0] * 70, nbytes=0),
+    "missing shape": lambda h: _first_entry(h, {k: v for k, v in h["arrays"][0].items() if k != "shape"}),
+    "entry not a mapping": lambda h: _first_entry(h, "conv1.weight"),
+    "arrays not a list": lambda h: {**h, "arrays": 5},
+    "duplicate name": lambda h: {**h, "arrays": [*h["arrays"], h["arrays"][0]]},
+    "meta not a mapping": lambda h: {**h, "meta": [1, 2]},
+    "header not a mapping": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_HEADERS))
+def test_hostile_manifest_raises_checkpoint_error(tmp_path, case):
+    raw = save_checkpoint(tmp_path / "a.ckpt", _arrays(), {"epoch": 1}).read_bytes()
+    path = tmp_path / "hostile.ckpt"
+    path.write_bytes(_with_header(raw, HOSTILE_HEADERS[case]))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats(allow_nan=False)
+    | st.sampled_from(["|O", "<f4", "<f8", "<i8", "|u1", ">f4", "V8", "conv1.weight", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entry=st.integers(0, 2),
+    field=st.sampled_from(["name", "dtype", "shape", "offset", "nbytes", None]),
+    value=JSON_VALUES,
+    top=st.sampled_from([None, "arrays", "meta"]),
+)
+def test_fuzzed_headers_load_or_raise_checkpoint_error(tmp_path_factory, entry, field, value, top):
+    folder = tmp_path_factory.mktemp("fuzz")
+    raw = save_checkpoint(folder / "a.ckpt", _arrays(), {"epoch": 1}).read_bytes()
+
+    def mutate(header):
+        if top is not None:
+            header[top] = value
+        elif field is None:
+            del header["arrays"][entry]
+        else:
+            header["arrays"][entry][field] = value
+        return header
+
+    path = folder / "b.ckpt"
+    path.write_bytes(_with_header(raw, mutate))
+    try:
+        arrays, _ = load_checkpoint(path)
+    except CheckpointError:
+        return
+    for arr in arrays.values():  # whatever loads is well-formed
+        assert arr.dtype.kind in "iuf"
 
 
 def test_missing_file_raises_checkpoint_error(tmp_path):

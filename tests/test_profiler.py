@@ -6,7 +6,6 @@ from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.profiler import (
     PUBLISHED_CONVBLOCK_PARAMS,
     PUBLISHED_FLOPS_TOTAL,
-    audit_reported_totals,
     count_flops,
     count_params,
     format_profile,
@@ -73,20 +72,26 @@ def test_counts_are_config_pure():
 
 
 def test_audit_rows_and_signed_differences():
-    audit = audit_reported_totals(DEFAULT)
-    assert len(audit.conv_block_rows) == 12
-    assert all(diff == 0 for *_, diff in audit.conv_block_rows)
-    assert audit.param_total == 2_044_496
-    assert audit.param_total_without_class_caps == 733_776
-    assert audit.class_caps_params == 1_310_720
-    assert audit.diff_vs_text_total == 2_044_496 - 734_800
-    assert audit.diff_vs_table_total == 2_044_496 - 780_000
-    assert audit.diff_vs_text_total_pct > 0
-    assert abs(audit.diff_vs_published_flops_pct) <= 1.2
-    assert audit.conv_mac_total == 18_137_088
-    text = audit.format_text()
-    assert "+" in text and "ClassCaps" in text
+    lines = format_profile(DEFAULT).splitlines()
+    header = lines[0].split()
+    assert header == ["layer", "in", "out", "stride", "features", "params", "published", "MACs"]
+    rows = {line.split()[0]: line.split() for line in lines[1:15]}
+    assert len(rows) == 14
+    block = [name for name in rows if name.startswith(("Conv2d", "BatchNorm2d"))]
+    assert [int(rows[name][6].replace(",", "")) for name in block] == list(PUBLISHED_CONVBLOCK_PARAMS)
+    for name in block:
+        assert rows[name][5] == rows[name][6]  # each conv-block row: params == published
+    assert rows["PrimaryCaps"][6] == rows["ClassCaps"][6] == "-"
+    text = "\n".join(lines)
+    assert "  without ClassCaps" in text and "733,776" in text
+    assert f"{2_044_496 - 734_800:+,}   (+178.24%)" in text
+    assert f"{2_044_496 - 780_000:+,}   (+162.11%)" in text
+    assert f"{18_137_088 - PUBLISHED_FLOPS_TOTAL:+,}   (-1.11%)" in text
     assert f"{PUBLISHED_FLOPS_TOTAL:,}" in text
+    for total in ("2,044,496", "18,137,088"):  # each total printed once
+        assert sum(total in line for line in lines) == 1
+    thin = format_profile(ModelConfig(conv_channels=(4, 8), conv_strides=(1, 2)))
+    assert "published" not in thin.splitlines()[0]  # no published column off the reference layout
 
 
 def test_every_trainable_checkpoint_array_in_exactly_one_report():
