@@ -7,6 +7,13 @@ accumulates gradients into every tensor created with ``requires_grad``.
 The tests probe a node through a projection: ``out.backward(proj)`` is the
 backward of the loss ``sum(out * proj)``.
 
+Every op makes its result with ``_node(data, parents, backward)``, the one
+place a graph edge is made: it keeps ``parents`` and ``backward`` only while
+recording and only when some parent ``needs_grad`` (a ``requires_grad`` leaf
+or a recorded node). ``backward(g)`` maps the output gradient to one
+gradient per parent, in parent order, with ``None`` for a parent that needs
+none, and ``Tensor.backward`` alone accumulates them.
+
 Only the nodes the capsule network runs exist here, each with a
 hand-derived backward: ``reshape``, ``transpose`` and ``relu`` on
 :class:`Tensor`, and ``concat``, ``conv2d``, ``batch_norm2d``, ``squash``,
@@ -86,6 +93,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def needs_grad(self) -> bool:
+        return self.requires_grad or bool(self._parents)
+
     def _accum(self, grad: np.ndarray) -> None:
         self.grad = grad if self.grad is None else self.grad + grad
 
@@ -116,7 +127,9 @@ class Tensor:
         self._accum(np.asarray(grad))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad)):
+                    if g is not None:
+                        parent._accum(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -126,62 +139,42 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _node(self.data.reshape(shape), (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g.reshape(self.data.shape))
-            out._backward = bw
-        return out
+        return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = tuple(int(i) for i in np.argsort(axes))
-        out = _node(self.data.transpose(axes), (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g.transpose(inverse))
-            out._backward = bw
-        return out
+        return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def relu(self):
         mask = self.data > 0
-        out = _node(np.where(mask, self.data, 0), (self,))
-        if out._parents:
-            def bw(g):
-                self._accum(g * mask)
-            out._backward = bw
-        return out
+        return _node(np.where(mask, self.data, 0), (self,), lambda g: (g * mask,))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
-    """Graph node; parents are dropped under ``no_grad`` or when nothing
-    upstream needs grads."""
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The op result; it keeps its parents and backward only when recording
+    and some parent needs a gradient."""
     out = Tensor(data)
-    if _RECORDING.get() and any(p.requires_grad or p._parents for p in parents):
+    if _RECORDING.get() and any(p.needs_grad for p in parents):
         out._parents = parents
+        out._backward = backward
     return out
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-        def bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad or t._parents:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(lo, hi)
-                    t._accum(g[tuple(index)])
-        out._backward = bw
-    return out
+    def bw(g):
+        index = [slice(None)] * g.ndim
+        grads = []
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            index[axis] = slice(lo, hi)
+            grads.append(g[tuple(index)] if t.needs_grad else None)
+        return grads
+
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 # -- fused kernels ---------------------------------------------------------
@@ -200,7 +193,6 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     gradient scatter-adds one contiguous [B, H_out, W_out, C] block per
     kernel offset back into a padded NHWC buffer.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
     batch, channels, height, width = x.data.shape
     filters, w_channels, kernel, kernel2 = weight.data.shape
     if w_channels != channels or kernel != kernel2:
@@ -224,32 +216,32 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
     # them rather than have every node hold one
     out2 = cols @ weight.data.transpose(0, 2, 3, 1).reshape(filters, -1).T
-    out = _node(
-        out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2), (x, weight)
-    )
-    if out._parents:
-        def bw(g):
-            g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
-            if weight.requires_grad or weight._parents:
-                dw2 = g2.T @ cols
-                weight._accum(dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2))
-            if x.requires_grad or x._parents:
-                # one GEMM per kernel offset, so each block added is contiguous
-                w3 = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
-                w3 = w3.reshape(kernel * kernel, filters, channels)
-                dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
-                dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
-                # overlapping blocks: this order fixes dX's float32 rounding,
-                # so changing it changes every training digest
-                for j in range(kernel):
-                    for i in range(kernel):
-                        dpadded[
-                            :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-                        ] += dcols[i, j]
-                dx = dpadded[:, padding : padding + height, padding : padding + width]
-                x._accum(dx.transpose(0, 3, 1, 2))
-        out._backward = bw
-    return out
+
+    def bw(g):
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
+        dw = dx = None
+        if weight.needs_grad:
+            dw2 = g2.T @ cols
+            dw = dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2)
+        if x.needs_grad:
+            # one GEMM per kernel offset, so each block added is contiguous
+            w3 = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+            w3 = w3.reshape(kernel * kernel, filters, channels)
+            dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
+            dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
+            # overlapping blocks: this order fixes dX's float32 rounding,
+            # so changing it changes every training digest
+            for j in range(kernel):
+                for i in range(kernel):
+                    dpadded[
+                        :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+                    ] += dcols[i, j]
+            dx = dpadded[:, padding : padding + height, padding : padding + width]
+            dx = dx.transpose(0, 3, 1, 2)
+        return dx, dw
+
+    out = out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2)
+    return _node(out, (x, weight), bw)
 
 
 def batch_norm2d(
@@ -270,7 +262,6 @@ def batch_norm2d(
     the running buffers (mutated in place). Eval mode normalizes with the
     running buffers and never touches them.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     batch = x.data.shape[0]
     axes = (0, 2, 3)
     count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
@@ -292,26 +283,24 @@ def batch_norm2d(
         var = running_var
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(1, -1, 1, 1)) * inv.reshape(1, -1, 1, 1)
-    out = _node(g4 * xhat + beta.data.reshape(1, -1, 1, 1), (x, gamma, beta))
-    if out._parents:
-        inv4 = inv.reshape(1, -1, 1, 1)
+    inv4 = inv.reshape(1, -1, 1, 1)
+    xhat = (x.data - mu.reshape(1, -1, 1, 1)) * inv4
 
-        def bw(g):
-            if gamma.requires_grad or gamma._parents:
-                gamma._accum((g * xhat).sum(axis=axes))
-            if beta.requires_grad or beta._parents:
-                beta._accum(g.sum(axis=axes))
-            if x.requires_grad or x._parents:
-                dxhat = g * g4
-                if training:
-                    s1 = dxhat.sum(axis=axes, keepdims=True)
-                    s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-                    x._accum(inv4 / count * (count * dxhat - s1 - xhat * s2))
-                else:
-                    x._accum(dxhat * inv4)
-        out._backward = bw
-    return out
+    def bw(g):
+        dx = None
+        if x.needs_grad:
+            dxhat = g * g4
+            if training:
+                s1 = dxhat.sum(axis=axes, keepdims=True)
+                s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+                dx = inv4 / count * (count * dxhat - s1 - xhat * s2)
+            else:
+                dx = dxhat * inv4
+        dgamma = (g * xhat).sum(axis=axes) if gamma.needs_grad else None
+        dbeta = g.sum(axis=axes) if beta.needs_grad else None
+        return dx, dgamma, dbeta
+
+    return _node(g4 * xhat + beta.data.reshape(1, -1, 1, 1), (x, gamma, beta), bw)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -342,27 +331,19 @@ def squash(x: Tensor, axis: int = -1) -> Tensor:
     [0, 1). Smooth at the origin: both the value and the gradient vanish as
     s -> 0 and the zero-norm case is handled without dividing by |s|.
     """
-    x = _as_tensor(x)
-    out = _node(_squash(x.data, axis), (x,))
-    if out._parents:
-        def bw(g):
-            x._accum(_squash_backward(x.data, g, axis))
-        out._backward = bw
-    return out
+    return _node(_squash(x.data, axis), (x,), lambda g: (_squash_backward(x.data, g, axis),))
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     """Scale slices along `axis` to unit Euclidean norm (zero stays zero)."""
-    x = _as_tensor(x)
     norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
     safe = np.maximum(norm, _NORM_FLOOR)
     value = x.data / safe
-    out = _node(value, (x,))
-    if out._parents:
-        def bw(g):
-            x._accum((g - value * (g * value).sum(axis=axis, keepdims=True)) / safe)
-        out._backward = bw
-    return out
+
+    def bw(g):
+        return ((g - value * (g * value).sum(axis=axis, keepdims=True)) / safe,)
+
+    return _node(value, (x,), bw)
 
 
 def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
@@ -371,7 +352,6 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     u: [B, M, D_in] child poses; weight: [P, M, D_in, D_out];
     returns [B, M, P, D_out] with out[b, m, p] = weight[p, m].T-applied u[b, m].
     """
-    u, weight = _as_tensor(u), _as_tensor(weight)
     parents, children, d_in, d_out = weight.data.shape
     batch = u.data.shape[0]
     if u.data.shape[1] != children or u.data.shape[2] != d_in:
@@ -382,24 +362,19 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     w2 = weight.data.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
     um = np.ascontiguousarray(u.data.transpose(1, 0, 2))
     out_m = np.matmul(um, w2)
-    out = _node(
-        out_m.transpose(1, 0, 2).reshape(batch, children, parents, d_out), (u, weight)
-    )
-    if out._parents:
-        def bw(g):
-            g_m = np.ascontiguousarray(
-                g.reshape(batch, children, parents * d_out).transpose(1, 0, 2)
-            )
-            if u.requires_grad or u._parents:
-                du = np.matmul(g_m, w2.swapaxes(1, 2))
-                u._accum(du.transpose(1, 0, 2))
-            if weight.requires_grad or weight._parents:
-                dw2 = np.matmul(um.swapaxes(1, 2), g_m)
-                weight._accum(
-                    dw2.reshape(children, d_in, parents, d_out).transpose(2, 0, 1, 3)
-                )
-        out._backward = bw
-    return out
+
+    def bw(g):
+        g_m = np.ascontiguousarray(g.reshape(batch, children, parents * d_out).transpose(1, 0, 2))
+        du = dw = None
+        if u.needs_grad:
+            du = np.matmul(g_m, w2.swapaxes(1, 2)).transpose(1, 0, 2)
+        if weight.needs_grad:
+            dw2 = np.matmul(um.swapaxes(1, 2), g_m)
+            dw = dw2.reshape(children, d_in, parents, d_out).transpose(2, 0, 1, 3)
+        return du, dw
+
+    out = out_m.transpose(1, 0, 2).reshape(batch, children, parents, d_out)
+    return _node(out, (u, weight), bw)
 
 
 def routing_by_agreement(
@@ -423,7 +398,6 @@ def routing_by_agreement(
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
-    u_hat = _as_tensor(u_hat)
     u = np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3))
     b = np.zeros(u.shape[:3], dtype=u.dtype)
     cs, ss, ys = [], [], []
@@ -435,29 +409,29 @@ def routing_by_agreement(
         cs.append(c)
         ss.append(s)
         ys.append(y)
-    out = _node(y, (u_hat,))
-    if out._parents:
-        def bw(g):
-            coefs, vecs = [], []
-            db = None
-            dy = g
-            for t in reversed(range(iterations)):
-                if db is not None:
-                    dy = np.matmul(db[:, :, None, :], u)[:, :, 0]
-                    coefs.append(db)
-                    vecs.append(ys[t])
-                ds = _squash_backward(ss[t], dy)
-                coefs.append(cs[t])
-                vecs.append(ds)
-                if t:  # the first couplings come from constant logits
-                    dc = np.matmul(u, ds[..., None])[..., 0]
-                    step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
-                    db = step if db is None else db + step
-            # written through a transposed view so the vote gradient is
-            # contiguous in the votes' own layout for the next backward
-            du = np.empty(u_hat.shape, dtype=u.dtype)
-            np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
-            u_hat._accum(du)
-        out._backward = bw
+
+    def bw(g):
+        coefs, vecs = [], []
+        db = None
+        dy = g
+        for t in reversed(range(iterations)):
+            if db is not None:
+                dy = np.matmul(db[:, :, None, :], u)[:, :, 0]
+                coefs.append(db)
+                vecs.append(ys[t])
+            ds = _squash_backward(ss[t], dy)
+            coefs.append(cs[t])
+            vecs.append(ds)
+            if t:  # the first couplings come from constant logits
+                dc = np.matmul(u, ds[..., None])[..., 0]
+                step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
+                db = step if db is None else db + step
+        # written through a transposed view so the vote gradient is
+        # contiguous in the votes' own layout for the next backward
+        du = np.empty(u_hat.shape, dtype=u.dtype)
+        np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
+        return (du,)
+
+    out = _node(y, (u_hat,), bw)
     history = tuple(np.ascontiguousarray(c.transpose(0, 2, 1)) for c in cs)
     return out, np.ascontiguousarray(b.transpose(0, 2, 1)), history

@@ -13,9 +13,10 @@ array, sorted by name) plus arbitrary JSON metadata under "meta". Given
 identical arrays and metadata the emitted bytes are identical, which is
 why this exists instead of an ``.npz`` (zip archives embed timestamps).
 
-Writes are atomic: content goes to ``<path>.partial`` and is renamed into
-place only when complete, so a crash never leaves a readable-but-corrupt
-checkpoint at the final path.
+Writes are atomic: :func:`write_atomic`, which the CSV, SVG and report
+writers share, puts content in ``<path>.partial``, fsyncs it and renames
+it into place only when complete, so a crash never leaves a
+readable-but-corrupt file at the final path.
 """
 
 from __future__ import annotations
@@ -49,9 +50,21 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
+def write_atomic(path: str | os.PathLike, *chunks: bytes) -> Path:
+    """Write `chunks` to `path` through a fsynced ``<path>.partial`` and a rename."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    with open(partial, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(partial, path)
+    return path
+
+
 def save_checkpoint(path: str | os.PathLike, arrays: dict[str, np.ndarray], meta: dict) -> Path:
     """Write arrays + metadata; byte-identical output for identical state."""
-    path = Path(path)
     manifest = []
     offset = 0
     names = sorted(arrays)
@@ -71,19 +84,7 @@ def save_checkpoint(path: str | os.PathLike, arrays: dict[str, np.ndarray], meta
         blobs.append(blob)
         offset += len(blob)
     header = canonical_json({"arrays": manifest, "meta": meta}).encode()
-
-    partial = path.with_name(path.name + ".partial")
-    with open(partial, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(partial, path)
-    return path
+    return write_atomic(path, MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header)), header, *blobs)
 
 
 def load_checkpoint(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], dict]:

@@ -23,7 +23,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .augment import AugmentConfig
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, write_atomic
 from .data import DataError, load_cifar10_binary, memory_view
 from .knn import EvalConfig, evaluate
 from .model import ModelConfig
@@ -385,9 +385,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         header = "checkpoint,k,temperature,total,top1,top5\n"
         line = f"{args.checkpoint},{result.k},{result.temperature},{result.total},{result.top1:.2f},{result.top5:.2f}\n"
         content = (path.read_text() if path.exists() else header) + line
-        partial = path.with_name(path.name + ".partial")
-        partial.write_text(content)
-        partial.replace(path)
+        write_atomic(path, content.encode())
         print(f"report row appended to {path}")
     return 0
 
@@ -399,10 +397,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     config = ModelConfig()
     print(format_profile(config))
     if args.csv:
-        path = Path(args.csv)
-        partial = path.with_name(path.name + ".partial")
-        partial.write_text(profile_csv(config))
-        partial.replace(path)
+        path = write_atomic(args.csv, profile_csv(config).encode())
         print(f"\nwrote {path}")
     return 0
 

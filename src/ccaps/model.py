@@ -22,6 +22,7 @@ what the loss and the evaluator assume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,35 +143,41 @@ def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingStat
     return y, RoutingState(logits=logits, couplings=history[-1], coupling_history=history)
 
 
+def _state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter and buffer, in init order."""
+    k = config.kernel_size
+    shapes: dict[str, tuple[int, ...]] = {}
+    in_c = config.in_channels
+    for i, out_c in enumerate(config.conv_channels, start=1):
+        shapes[f"conv{i}.weight"] = (out_c, in_c, k, k)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"conv{i}.bn.{name}"] = (out_c,)
+        in_c = out_c
+    shapes["primary.weight"] = (config.primary_channels, in_c, k, k)
+    shapes["class_caps.weight"] = (
+        config.num_classes,
+        config.num_primary_capsules,
+        config.capsule_dim,
+        config.class_capsule_dim,
+    )
+    return shapes
+
+
 def _init_arrays(config: ModelConfig, seed: int, dtype) -> dict[str, np.ndarray]:
     """Fan-in scaled normal init for weights; identity init for batch norm."""
     rng = stream_rng(seed, INIT_STREAM)
-    k = config.kernel_size
     arrays: dict[str, np.ndarray] = {}
-    in_c = config.in_channels
-    for i, out_c in enumerate(config.conv_channels, start=1):
-        std = np.sqrt(2.0 / (in_c * k * k))
-        arrays[f"conv{i}.weight"] = rng.normal(0.0, std, size=(out_c, in_c, k, k))
-        arrays[f"conv{i}.bn.gamma"] = np.ones(out_c)
-        arrays[f"conv{i}.bn.beta"] = np.zeros(out_c)
-        arrays[f"conv{i}.bn.running_mean"] = np.zeros(out_c)
-        arrays[f"conv{i}.bn.running_var"] = np.ones(out_c)
-        in_c = out_c
-    std = np.sqrt(2.0 / (in_c * k * k))
-    arrays["primary.weight"] = rng.normal(
-        0.0, std, size=(config.primary_channels, in_c, k, k)
-    )
-    arrays["class_caps.weight"] = rng.normal(
-        0.0,
-        1.0 / np.sqrt(config.capsule_dim),
-        size=(
-            config.num_classes,
-            config.num_primary_capsules,
-            config.capsule_dim,
-            config.class_capsule_dim,
-        ),
-    )
-    return {name: arr.astype(dtype) for name, arr in arrays.items()}
+    for name, shape in _state_shapes(config).items():
+        if name.endswith(("gamma", "running_var")):
+            arr = np.ones(shape)
+        elif name.endswith(("beta", "running_mean")):
+            arr = np.zeros(shape)
+        elif name == "class_caps.weight":
+            arr = rng.normal(0.0, 1.0 / np.sqrt(config.capsule_dim), size=shape)
+        else:  # conv weight [out, in, k, k]: fan-in is in * k * k
+            arr = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), size=shape)
+        arrays[name] = arr.astype(dtype)
+    return arrays
 
 
 class CapsuleNetwork:
@@ -190,15 +197,15 @@ class CapsuleNetwork:
     def from_state(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "CapsuleNetwork":
         net = cls.__new__(cls)
         net.config = config
-        expected = _init_arrays(config, 0, np.float32)
+        expected = _state_shapes(config)
         if set(arrays) != set(expected):
             missing = set(expected) - set(arrays)
             extra = set(arrays) - set(expected)
             raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, arr in arrays.items():
             arr = np.asarray(arr)
-            if arr.shape != expected[name].shape or arr.dtype.kind != "f":
-                raise ValueError(f"state {name!r}: {arr.dtype} {arr.shape}, expected float {expected[name].shape}")
+            if arr.shape != expected[name] or arr.dtype.kind != "f":
+                raise ValueError(f"state {name!r}: {arr.dtype} {arr.shape}, expected float {expected[name]}")
         net._adopt({k: np.array(v) for k, v in arrays.items()})
         return net
 
@@ -253,6 +260,8 @@ class CapsuleNetwork:
 
         [B, C, G, G] -> conv -> [B, primary_channels, G, G]
         -> [B, groups, dim, G, G] -> [B, groups*G*G, dim] -> squash.
+        The regrouping reads the conv output's NHWC memory, so it copies
+        once, and hands the conv an NHWC gradient.
         """
         cfg = self.config
         t = conv2d(feature_map, self.params["primary.weight"], stride=1, padding=cfg.padding)
@@ -260,8 +269,9 @@ class CapsuleNetwork:
         if (grid_h, grid_w) != (cfg.feature_grid, cfg.feature_grid):
             raise ValueError(f"unexpected primary grid {grid_h}x{grid_w}")
         u = (
-            t.reshape(batch, cfg.capsule_groups, cfg.capsule_dim, grid_h, grid_w)
-            .transpose(0, 1, 3, 4, 2)
+            t.transpose(0, 2, 3, 1)
+            .reshape(batch, grid_h, grid_w, cfg.capsule_groups, cfg.capsule_dim)
+            .transpose(0, 3, 1, 2, 4)
             .reshape(batch, cfg.num_primary_capsules, cfg.capsule_dim)
         )
         return squash(u, axis=-1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .checkpoint import write_atomic
 from .train import read_metrics_csv
 
 __all__ = ["render_series_svg", "plot_metrics_csv", "PlotError"]
@@ -123,11 +124,7 @@ def plot_metrics_csv(csv_path: str | Path, out_dir: str | Path) -> list[Path]:
         xs = [float(e) for e, _ in pairs]
         ys = [float(v) for _, v in pairs]
         svg = render_series_svg(xs, ys, "epoch", name)
-        path = out_dir / f"{name}.svg"
-        partial = path.with_name(path.name + ".partial")
-        partial.write_text(svg)
-        partial.replace(path)
-        written.append(path)
+        written.append(write_atomic(out_dir / f"{name}.svg", svg.encode()))
     if not written:
         raise PlotError(f"{csv_path}: no plottable metric columns")
     return written

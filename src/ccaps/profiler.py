@@ -65,7 +65,6 @@ class ParamSummary:
     reports: tuple[LayerReport, ...]
     total: int
     conv_block_total: int
-    primary_total: int
     class_caps_total: int
 
 
@@ -153,7 +152,6 @@ def count_params(config: ModelConfig = ModelConfig()) -> ParamSummary:
         reports=reports,
         total=conv_block + primary + class_caps,
         conv_block_total=conv_block,
-        primary_total=primary,
         class_caps_total=class_caps,
     )
 

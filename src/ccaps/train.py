@@ -29,7 +29,7 @@ import numpy as np
 
 from .augment import AugmentConfig, two_views
 from .autodiff import Tensor, concat
-from .checkpoint import CheckpointError, config_hash, save_checkpoint
+from .checkpoint import CheckpointError, config_hash, save_checkpoint, write_atomic
 from .data import (
     DatasetSplit,
     NormalizationStats,
@@ -432,16 +432,12 @@ class MetricsError(Exception):
 
 
 def write_metrics_csv(path: str | Path, rows: list[MetricsRow]) -> Path:
-    path = Path(path)
     lines = [METRICS_HEADER]
     for row in rows:
         top1 = "" if row.top1 is None else f"{row.top1:.2f}"
         top5 = "" if row.top5 is None else f"{row.top5:.2f}"
         lines.append(f"{row.epoch},{row.loss!r},{row.seconds:.3f},{top1},{top5}")
-    partial = path.with_name(path.name + ".partial")
-    partial.write_text("\n".join(lines) + "\n")
-    partial.replace(path)
-    return path
+    return write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:

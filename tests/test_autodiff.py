@@ -277,8 +277,8 @@ def test_no_grad_records_no_node_and_restores_recording(monkeypatch):
     nodes = []
     make_node = autodiff._node
 
-    def spy(data, parents):
-        nodes.append(make_node(data, parents))
+    def spy(data, parents, backward):
+        nodes.append(make_node(data, parents, backward))
         return nodes[-1]
 
     monkeypatch.setattr(autodiff, "_node", spy)

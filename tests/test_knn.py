@@ -195,8 +195,8 @@ def test_extract_features_records_no_graph_and_keeps_the_graph_path_bits(trained
     nodes = []
     make_node = autodiff._node
 
-    def spy(data, parents):
-        nodes.append(make_node(data, parents))
+    def spy(data, parents, backward):
+        nodes.append(make_node(data, parents, backward))
         return nodes[-1]
 
     monkeypatch.setattr(autodiff, "_node", spy)

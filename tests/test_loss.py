@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccaps.autodiff import Tensor, l2_normalize
+from ccaps.autodiff import Tensor, l2_normalize, no_grad
 from ccaps.loss import nt_xent_op
 
 
@@ -183,6 +183,14 @@ def test_nt_xent_op_matches_pure_function_and_backpropagates():
 
         numeric = (f(rp) - f(rm)) / (2 * step)
         assert t.grad[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+
+
+def test_nt_xent_op_records_no_node_under_no_grad():
+    z = Tensor(_unit_rows(4, 3), requires_grad=True)
+    with no_grad():
+        loss = nt_xent_op(z, 0.5)
+    assert loss._parents == () and loss._backward is None
+    assert nt_xent_op(z, 0.5)._parents == (z,)
 
 
 def test_nt_xent_op_validates_inputs():

@@ -219,7 +219,7 @@ def test_conv_block_stays_channels_last_forward_and_backward(monkeypatch):
 
         def bw(g):
             conv_grads.append(g)
-            inner(g)
+            return inner(g)
 
         out._backward = bw
         return out
@@ -235,9 +235,10 @@ def test_conv_block_stays_channels_last_forward_and_backward(monkeypatch):
     x = np.random.default_rng(11).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out = net.conv_block(Tensor(x, requires_grad=True), mode="train", update_running=False)
     activations.append(("relu output", out.data))
-    out.backward(2 * out.data)  # the gradient of sum(out ** 2), in out's own layout
+    u = net.primary_caps(out)  # the PrimaryCaps conv is the seventh
+    u.backward(2 * u.data)  # the gradient of sum(u ** 2)
 
-    assert len(activations) == 3 * 6 + 1 and len(conv_grads) == 6
+    assert len(activations) == 3 * 6 + 1 + 2 and len(conv_grads) == 7
     for i, (what, a) in enumerate(activations[1:], start=1):  # [0] is the NCHW image batch
         assert a.transpose(0, 2, 3, 1).flags.c_contiguous, (i, what, a.shape)
     for g in conv_grads:
