@@ -13,7 +13,7 @@ Each job has one entry point, the one the program itself runs: `train`
 profile.
 """
 
-from .augment import AugmentConfig, apply_pipeline, two_views
+from .augment import AugmentConfig, two_view_batch, two_views
 from .autodiff import Tensor, squash
 from .data import (
     DataError,

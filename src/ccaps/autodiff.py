@@ -26,6 +26,14 @@ channels-last buffers. Batch norm and ReLU are elementwise in memory
 order, so the whole conv block, forward and backward, stays channels-last
 without a layout copy between layers.
 
+The training forward of batch norm makes seven passes over the activation:
+a channel sum for the mean, ``d = x - mu``, its square, a channel sum for
+the variance, ``d *= inv`` (which makes ``xhat``), ``gamma * xhat`` into
+the square's buffer and ``+= beta``. Its arithmetic is numpy's ``mean`` and
+``var``, element for element. The batch-norm backward makes four channel
+sums. ReLU is one ``np.maximum`` pass, which lets NaN through; its backward
+masks by ``y > 0``.
+
 dtype follows the inputs: float32 in training, float64 in the verification
 oracles. Graphs are single use: build a fresh forward for every backward.
 Inside ``with no_grad():`` nothing is recorded, which is how feature
@@ -148,8 +156,8 @@ class Tensor:
         return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     def relu(self):
-        mask = self.data > 0
-        return _node(np.where(mask, self.data, 0), (self,), lambda g: (g * mask,))
+        y = np.maximum(self.data, 0)
+        return _node(y, (self,), lambda g: (g * (y > 0),))
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -270,8 +278,12 @@ def batch_norm2d(
     if training:
         if batch < 2:
             raise ValueError("batch_norm2d: training mode requires batch size >= 2")
+        # numpy's mean and var, except that x - mu is made once and kept:
+        # it becomes xhat, and the buffer of its square becomes the output
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mu.reshape(1, -1, 1, 1)
+        out = np.square(xhat)
+        var = out.mean(axis=axes)
         if update_running:
             unbiased = var * (count / (count - 1))
             running_mean *= 1.0 - momentum
@@ -279,12 +291,14 @@ def batch_norm2d(
             running_var *= 1.0 - momentum
             running_var += momentum * unbiased
     else:
-        mu = running_mean
+        xhat = x.data - running_mean.reshape(1, -1, 1, 1)
+        out = np.empty_like(xhat)
         var = running_var
 
-    inv = 1.0 / np.sqrt(var + eps)
-    inv4 = inv.reshape(1, -1, 1, 1)
-    xhat = (x.data - mu.reshape(1, -1, 1, 1)) * inv4
+    inv4 = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    xhat *= inv4
+    np.multiply(g4, xhat, out=out)
+    out += beta.data.reshape(1, -1, 1, 1)
 
     def bw(g):
         dx = None
@@ -300,7 +314,7 @@ def batch_norm2d(
         dbeta = g.sum(axis=axes) if beta.needs_grad else None
         return dx, dgamma, dbeta
 
-    return _node(g4 * xhat + beta.data.reshape(1, -1, 1, 1), (x, gamma, beta), bw)
+    return _node(out, (x, gamma, beta), bw)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:

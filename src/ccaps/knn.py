@@ -51,6 +51,13 @@ class EvalConfig:
             raise ValueError("temperature must be positive")
 
 
+def _require_unit_rows(rows: np.ndarray, what: str) -> None:
+    """Raise unless every row is finite and unit norm; NaN fails the test."""
+    worst = float(np.abs(np.linalg.norm(rows, axis=1) - 1.0).max())
+    if not worst <= _UNIT_NORM_TOL:
+        raise ValueError(f"{what} rows must be finite and unit norm, worst error {worst:.2e}")
+
+
 @dataclass(frozen=True)
 class FeatureBank:
     features: np.ndarray  # [M, D], unit-norm rows, memory-split file order
@@ -61,10 +68,7 @@ class FeatureBank:
             raise ValueError("features and labels must align")
         if len(self.features) == 0:
             raise ValueError("feature bank is empty")
-        norms = np.linalg.norm(self.features, axis=1)
-        worst = float(np.abs(norms - 1.0).max())
-        if worst > _UNIT_NORM_TOL:
-            raise ValueError(f"bank rows must be unit norm, worst error {worst:.2e}")
+        _require_unit_rows(self.features, "bank")
         if self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES:
             raise ValueError("bank labels out of range")
 
@@ -156,6 +160,7 @@ def evaluate(
         raise ValueError("the test split needs labels for scoring")
     bank = build_feature_bank(net, memory_split, stats)
     queries = extract_features(net, test_split, stats)
+    _require_unit_rows(queries, "query")
     labels = np.asarray(test_split.labels)
 
     correct1 = 0

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import AugmentConfig, two_views
+from .augment import AugmentConfig, two_view_batch
 from .autodiff import Tensor, concat
 from .checkpoint import CheckpointError, config_hash, save_checkpoint, write_atomic
 from .data import (
@@ -241,17 +241,9 @@ class Adam:
 
 def _two_view_batch(batch, config: TrainConfig, stats: NormalizationStats, epoch: int):
     """Augment every image twice; streams keyed by (seed, epoch, image index)."""
-    n = batch.size
-    shape = batch.images.shape[1:]
-    view_i = np.empty((n, *shape), dtype=np.float32)
-    view_j = np.empty((n, *shape), dtype=np.float32)
-    for pos in range(n):
-        rng = stream_rng(config.seed, AUGMENT_STREAM, epoch, int(batch.indices[pos]))
-        image = to_unit_interval(batch.images[pos])
-        vi, vj = two_views(image, config.augment, rng)
-        view_i[pos] = standardize(vi, stats)
-        view_j[pos] = standardize(vj, stats)
-    return view_i, view_j
+    rngs = [stream_rng(config.seed, AUGMENT_STREAM, epoch, int(i)) for i in batch.indices]
+    views = two_view_batch(to_unit_interval(batch.images), rngs, config.augment)
+    return standardize(views, stats)
 
 
 def _train_step(

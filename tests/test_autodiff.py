@@ -198,6 +198,77 @@ def test_batch_norm_running_update_and_freeze():
     np.testing.assert_array_equal(rv, frozen_v)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g):
+    """Batch norm as numpy's mean and var write it: (y, xhat, dx, dgamma, dbeta)
+    for the output gradient g; updates the running buffers like the node."""
+    axes = (0, 2, 3)
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        running_mean *= 1.0 - 0.1
+        running_mean += 0.1 * mu
+        running_var *= 1.0 - 0.1
+        running_var += 0.1 * (var * (count / (count - 1)))
+    else:
+        mu, var = running_mean, running_var
+    inv4 = (1.0 / np.sqrt(var + 1e-5)).reshape(1, -1, 1, 1)
+    xhat = (x - mu.reshape(1, -1, 1, 1)) * inv4
+    g4 = gamma.reshape(1, -1, 1, 1)
+    y = g4 * xhat + beta.reshape(1, -1, 1, 1)
+    dxhat = g * g4
+    if training:
+        s1 = dxhat.sum(axis=axes, keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+        dx = inv4 / count * (count * dxhat - s1 - xhat * s2)
+    else:
+        dx = dxhat * inv4
+    return y, xhat, dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("channels_last", [True, False])
+def test_batch_norm_float32_matches_mean_var_formula_bit_for_bit(training, channels_last):
+    rng = np.random.default_rng(7)
+    shape = (6, 7, 5, 5)  # count 150 per channel, not a power of two
+    x = (rng.normal(size=(6, 5, 5, 7)) * 3.0 + 1.5).astype(np.float32)
+    x = x.transpose(0, 3, 1, 2) if channels_last else np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+    assert x.shape == shape
+    gamma = rng.uniform(0.5, 2.0, size=7).astype(np.float32)
+    beta = rng.normal(size=7).astype(np.float32)
+    buffers = rng.normal(size=7).astype(np.float32), rng.uniform(0.5, 2.0, size=7).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+
+    ref_buffers = tuple(b.copy() for b in buffers)
+    y, xhat, dx, dgamma, dbeta = _batch_norm_reference(x, gamma, beta, *ref_buffers, training, g)
+    tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    node_buffers = tuple(b.copy() for b in buffers)
+    out = batch_norm2d(tx, tg, tb, *node_buffers, training=training)
+    out.backward(g)
+    assert _same_bits(out.data, y)
+    assert out.data.strides == y.strides  # the output keeps the input's memory order
+    for got, want in zip((*node_buffers, tx.grad, tg.grad, tb.grad), (*ref_buffers, dx, dgamma, dbeta)):
+        assert _same_bits(got, want)
+    # with unit scale and zero shift the output is xhat itself
+    unit = batch_norm2d(
+        Tensor(x), Tensor(np.ones(7, np.float32)), Tensor(np.zeros(7, np.float32)),
+        *(b.copy() for b in buffers), training=training,
+    )
+    assert _same_bits(unit.data, xhat)
+
+
+def test_relu_propagates_nan_and_masks_its_gradient():
+    x = Tensor(np.array([-1.0, 0.0, 2.0, np.nan]), requires_grad=True)
+    out = x.relu()
+    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0, np.nan])
+    out.backward(np.array([1.0, 2.0, 3.0, 4.0]))
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 3.0, 0.0])
+
+
 def test_batch_norm_rejects_batch_of_one_in_training():
     x = Tensor(RNG.normal(size=(1, 2, 3, 3)))
     with pytest.raises(ValueError, match="batch size"):

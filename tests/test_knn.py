@@ -53,6 +53,10 @@ def test_bank_validation():
         FeatureBank(np.ones((3, 4)), np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         FeatureBank(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+    nan_row = _unit_rows(3, 8, 0)
+    nan_row[1] = np.nan
+    with pytest.raises(ValueError, match="bank rows must be finite and unit norm"):
+        FeatureBank(nan_row, np.array([0, 1, 2]))
 
 
 def test_single_row_bank_always_wins():
@@ -242,3 +246,30 @@ def test_evaluate_rejects_empty_or_unlabelled(trained_state):
         evaluate(
             net, memory_view(split.take(8)).without_labels(), test.take(8), stats, EvalConfig(k=2)
         )
+
+
+def test_a_nan_weight_fails_the_bank_instead_of_ranking(trained_state):
+    # ReLU propagates NaN, so one NaN conv1 weight reaches every feature
+    net, stats, split, _ = trained_state
+    broken = CapsuleNetwork.from_state(net.config, net.state_arrays())
+    broken.params["conv1.weight"].data[0, 0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="bank rows must be finite and unit norm"):
+        build_feature_bank(broken, memory_view(split.take(16)), stats)
+
+
+def test_evaluate_rejects_non_finite_query_features(trained_state, monkeypatch):
+    from ccaps import knn
+
+    net, stats, split, test = trained_state
+    queries = test.take(8)
+    extract = knn.extract_features
+
+    def nan_queries(net_, data, stats_):
+        rows = extract(net_, data, stats_)
+        if data is queries:
+            rows[3] = np.nan
+        return rows
+
+    monkeypatch.setattr(knn, "extract_features", nan_queries)
+    with pytest.raises(ValueError, match="query rows must be finite and unit norm"):
+        evaluate(net, memory_view(split.take(16)), queries, stats, EvalConfig(k=4))
