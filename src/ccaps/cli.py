@@ -3,8 +3,11 @@
 Every run is reconstructable from one flat key=value config file; command
 line flags mirror the config keys and override them. The CIFAR-10 data
 root can also come from the CCAPS_DATA_DIR environment variable. Commands
-exit 0 on success, 1 on failure, 130 on interruption (Ctrl-C, or SIGTERM
-while training); partial files only ever appear with a ``.partial`` suffix.
+exit 0 on success, 1 on failure, 3 when training stops on a non-finite loss
+or gradient (the error names the epoch and batch; the last completed
+epoch's checkpoint and metrics are kept), 130 on interruption (Ctrl-C, or
+SIGTERM while training); partial files only ever appear with a ``.partial``
+suffix.
 """
 
 from __future__ import annotations
@@ -474,10 +477,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TrainingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (
         CliError,
         DataError,
-        TrainingError,
         CheckpointError,
         CheckpointMismatchError,
         MetricsError,

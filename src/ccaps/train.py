@@ -275,7 +275,10 @@ def _train_step(
         raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
     adam.zero_grad()
     loss.backward()
-    adam.step()
+    try:
+        adam.step()
+    except TrainingError as exc:
+        raise TrainingError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
     return value
 
 
@@ -337,6 +340,11 @@ def train(
     `eval_hook(record, epoch) -> (top1, top5)` is called every
     `config.eval_every` epochs when provided; the kNN evaluator plugs in
     here so this module stays label-free.
+
+    A run stopped by ``KeyboardInterrupt`` or :class:`TrainingError` after
+    at least one completed epoch still writes ``final.ckpt`` for the last
+    completed epoch and the metrics rows; an interrupted run then returns
+    with ``interrupted`` set, a failed one re-raises its error.
     """
     data = data.without_labels()
     if len(data) < 2:
@@ -366,7 +374,7 @@ def train(
 
     rows: list[MetricsRow] = []
     record = resume_from
-    interrupted = False
+    stopped = None  # the KeyboardInterrupt or TrainingError that ended the loop
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):
             t0 = time.perf_counter()
@@ -397,10 +405,10 @@ def train(
                 and epoch % config.checkpoint_every == 0
             ):
                 record.save(checkpoint_dir / f"epoch_{epoch:04d}.ckpt")
-    except KeyboardInterrupt:
-        interrupted = True
+    except (KeyboardInterrupt, TrainingError) as exc:
         if record is None:
             raise  # nothing completed yet, nothing worth writing
+        stopped = exc
 
     if checkpoint_dir is not None:
         record.save(checkpoint_dir / "final.ckpt")
@@ -411,7 +419,9 @@ def train(
             previous = read_metrics_csv(metrics_path)
             output_rows = [r for r in previous if r.epoch <= start_epoch] + rows
         write_metrics_csv(metrics_path, output_rows)
-    return TrainResult(checkpoint=record, metrics=rows, interrupted=interrupted)
+    if isinstance(stopped, TrainingError):
+        raise stopped
+    return TrainResult(checkpoint=record, metrics=rows, interrupted=stopped is not None)
 
 
 # -- metrics CSV ---------------------------------------------------------------

@@ -298,6 +298,34 @@ def test_cli_train_lock_left_by_a_dead_run_does_not_block(small_data_dir, tmp_pa
     assert CheckpointRecord.load(ckpt / "final.ckpt").epoch == 1
 
 
+def test_cli_divergence_exits_3_and_keeps_the_completed_epochs(
+    small_data_dir, tmp_path, capsys, monkeypatch
+):
+    import importlib
+
+    from ccaps.autodiff import Tensor
+
+    train_mod = importlib.import_module("ccaps.train")
+    loss = train_mod.nt_xent_op
+    steps = []
+
+    def diverge_in_epoch_2(z, tau):
+        steps.append(None)
+        return Tensor(np.float32(np.inf)) if len(steps) == 4 else loss(z, tau)
+
+    monkeypatch.setattr(train_mod, "nt_xent_op", diverge_in_epoch_2)
+    ckpt = tmp_path / "ckpt"
+    rc = main([*_small_train_args(small_data_dir, ckpt), "--epochs", "3"])  # two batches an epoch
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("error:") and "epoch 2, batch 1" in err, err
+    assert CheckpointRecord.load(ckpt / "final.ckpt").epoch == 1
+    assert [r.epoch for r in read_metrics_csv(ckpt / "metrics.csv")] == [1]
+    assert sorted(p.name for p in ckpt.iterdir()) == [".lock", "final.ckpt", "metrics.csv"]
+    with DirectoryLock(ckpt):  # released
+        pass
+
+
 def test_cli_sigterm_writes_final_checkpoint_and_releases_lock(small_data_dir, tmp_path):
     ckpt = tmp_path / "ckpt"
     argv = [*_small_train_args(small_data_dir, ckpt), "--epochs", "1000"]  # the last flag wins

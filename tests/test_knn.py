@@ -1,5 +1,7 @@
 """Weighted kNN voting against brute-force oracles and chance-level banks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,100 @@ def _oracle_predict(h, bank, cfg):
     return scores, np.array(ranked)
 
 
+# Integer entries whose squares sum to exactly 2**22: scaled by 2**-11 they
+# form a unit vector, and so does any signed permutation of them.
+_EXACT_BASE = np.array(
+    [65, 114, 324, 326, 343, 393, 396, 401, 402, 413, 415, 420, 683, 763, 776, 1022]
+)
+
+
+def _exact_rows(n, seed):
+    """Unit rows whose entries are multiples of 2**-11.
+
+    Every product of two entries is a multiple of 2**-22 and every partial
+    sum of a dot product stays below 1 in magnitude, so a float32 GEMM
+    gives each similarity exactly, in any summation order.
+    """
+    assert int(np.sum(_EXACT_BASE**2)) == 2**22
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1, 1], size=(n, len(_EXACT_BASE)))
+    rows = np.stack([rng.permutation(_EXACT_BASE) for _ in range(n)]) * signs
+    return (rows / 2**11).astype(np.float32)
+
+
+def _exact_reference(h, bank, cfg):
+    """Stable-argsort top-k, neighbours in bank order, float64 bincount scores.
+
+    Also returns, per query, whether the k-th and (k+1)-th similarities tie.
+    """
+    sims = h.astype(np.float64) @ bank.features.astype(np.float64).T  # exact
+    scores = np.zeros((len(h), cfg.class_count))
+    tied = np.zeros(len(h), dtype=bool)
+    for q, sim in enumerate(sims):
+        order = np.argsort(-sim, kind="stable")
+        nearest = np.sort(order[: cfg.k])
+        tied[q] = cfg.k < len(sim) and sim[order[cfg.k - 1]] == sim[order[cfg.k]]
+        weights = np.exp(sim[nearest] / cfg.temperature)
+        scores[q] = np.bincount(bank.labels[nearest], weights=weights, minlength=cfg.class_count)
+    return scores, np.argsort(-scores, axis=1, kind="stable"), tied
+
+
+@pytest.mark.parametrize("queries", [1, 15, 16, 17, 40])
+def test_scores_and_ranks_equal_the_exact_oracle_bit_for_bit(queries):
+    m = 64
+    bank = FeatureBank(_exact_rows(m, 20), np.random.default_rng(21).integers(0, 10, size=m))
+    h = _exact_rows(queries, 22)
+    for k in (1, 7, m - 1, m):
+        cfg = EvalConfig(k=k, temperature=0.2)
+        want_scores, want_ranked, tied = _exact_reference(h, bank, cfg)
+        assert not tied.any()  # the neighbour set is unique, so the bits are too
+        scores, ranked = weighted_knn_predict(h, bank, cfg)
+        assert scores.dtype == np.float64 and ranked.dtype == np.int64
+        np.testing.assert_array_equal(scores, want_scores)
+        np.testing.assert_array_equal(ranked, want_ranked)
+
+
+def test_duplicate_rows_tied_at_the_kth_place_still_give_a_top_k():
+    rows = _exact_rows(30, 23)
+    # every row three times, with different labels: a query's k = 4 nearest
+    # are its best row's three copies and one of its second-best row's three
+    bank = FeatureBank(np.repeat(rows, 3, axis=0), np.arange(90) % 10)
+    h = _exact_rows(40, 24)
+    cfg = EvalConfig(k=4, temperature=0.2)
+    want_scores, _, tied = _exact_reference(h, bank, cfg)
+    assert tied.all()
+    scores, ranked = weighted_knn_predict(h, bank, cfg)
+    # the tied rows share a similarity, so any valid choice has the same total
+    np.testing.assert_allclose(scores.sum(axis=1), want_scores.sum(axis=1), rtol=1e-14)
+    np.testing.assert_array_equal(ranked, np.argsort(-scores, axis=1, kind="stable"))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_knn_call_allocates_little_beyond_the_similarity_block():
+    features = _unit_rows(20_000, 64, 25).astype(np.float32)
+    bank = FeatureBank(features, np.arange(20_000) % 10)
+    h = _unit_rows(512, 64, 26).astype(np.float32)
+    sim_bytes = 512 * 20_000 * 4
+    peak = _traced_peak(lambda: weighted_knn_predict(h, bank, EvalConfig()))
+    assert peak <= 1.25 * sim_bytes, peak / sim_bytes
+
+
+def test_bank_check_copies_nothing_the_size_of_the_bank():
+    features = _unit_rows(20_000, 64, 27).astype(np.float32)
+    labels = np.arange(20_000) % 10
+    peak = _traced_peak(lambda: FeatureBank(features, labels))
+    assert peak <= 0.1 * features.nbytes, peak / features.nbytes
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(k=0)
@@ -57,6 +153,20 @@ def test_bank_validation():
     nan_row[1] = np.nan
     with pytest.raises(ValueError, match="bank rows must be finite and unit norm"):
         FeatureBank(nan_row, np.array([0, 1, 2]))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([True, False, True]),
+        np.array([0.0, 1.0, 2.0]),
+        np.array([[0], [1], [2]]),
+    ],
+    ids=["bool", "float", "2-D"],
+)
+def test_bank_refuses_labels_it_cannot_rank_with(labels):
+    with pytest.raises(ValueError, match="1-D integer array"):
+        FeatureBank(_unit_rows(3, 8, 0), labels)
 
 
 def test_single_row_bank_always_wins():

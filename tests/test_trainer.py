@@ -335,7 +335,7 @@ def test_checkpoint_reload_reproduces_eval_forward_bitwise(train_subset):
     np.testing.assert_array_equal(first.h.data, second.h.data)
 
 
-def test_non_finite_loss_aborts_with_batch_index(train_subset, monkeypatch):
+def test_non_finite_loss_aborts_with_batch_index(train_subset, tmp_path, monkeypatch):
     import importlib
 
     train_mod = importlib.import_module("ccaps.train")
@@ -345,7 +345,40 @@ def test_non_finite_loss_aborts_with_batch_index(train_subset, monkeypatch):
 
     monkeypatch.setattr(train_mod, "nt_xent_op", poisoned)
     with pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
-        train(_config(epochs=1), train_subset)
+        train(_config(epochs=1), train_subset, checkpoint_dir=tmp_path, metrics_path=tmp_path / "m.csv")
+    assert list(tmp_path.iterdir()) == []  # no epoch completed, so nothing is written
+
+
+def test_divergence_keeps_the_completed_epochs_and_resumes_bit_for_bit(
+    train_subset, tmp_path, monkeypatch
+):
+    import importlib
+
+    train_mod = importlib.import_module("ccaps.train")
+    step = train_mod.Adam.step
+
+    def poisoned_step(self):
+        if self.steps == 10:  # epoch 3, batch 2: four batches of 16 per epoch
+            self.params["conv1.weight"].grad[0, 0, 0, 0] = np.inf
+        step(self)
+
+    cfg = _config(epochs=4)
+    run = tmp_path / "run"
+    monkeypatch.setattr(train_mod.Adam, "step", poisoned_step)
+    with pytest.raises(TrainingError, match=r"'conv1.weight' at epoch 3, batch 2$"):
+        train(cfg, train_subset, checkpoint_dir=run, metrics_path=run / "m.csv")
+    monkeypatch.undo()
+
+    kept = CheckpointRecord.load(run / "final.ckpt")
+    assert kept.epoch == 2 and kept.meta["adam_steps"] == 8
+    assert [r.epoch for r in read_metrics_csv(run / "m.csv")] == [1, 2]
+    # epoch 3 had already updated the weights twice; the record must not see it
+    resumed = train(cfg, train_subset, checkpoint_dir=run, metrics_path=run / "m.csv", resume_from=kept)
+    straight = tmp_path / "straight"
+    train(cfg, train_subset, checkpoint_dir=straight, metrics_path=straight / "m.csv")
+    assert resumed.checkpoint.epoch == 4
+    assert (run / "final.ckpt").read_bytes() == (straight / "final.ckpt").read_bytes()
+    assert (run / "m.csv").read_bytes() == (straight / "m.csv").read_bytes()
 
 
 def test_interrupt_writes_final_checkpoint(train_subset, tmp_path):
