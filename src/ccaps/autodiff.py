@@ -35,9 +35,15 @@ sums. ReLU is one ``np.maximum`` pass, which lets NaN through; its backward
 masks by ``y > 0``.
 
 dtype follows the inputs: float32 in training, float64 in the verification
-oracles. Graphs are single use: build a fresh forward for every backward.
-Inside ``with no_grad():`` nothing is recorded, which is how feature
-extraction runs.
+oracles. Inside ``with no_grad():`` nothing is recorded, which is how
+feature extraction runs.
+
+Graphs are single use, and this is enforced. ``backward`` frees each
+interior node as soon as it has passed its gradient on: the node drops its
+gradient, its closure (with the intermediates the closure saved) and its
+parents, so a graph's memory shrinks while it is walked. Leaves keep their
+gradients. A second ``backward`` through a used node raises ``ValueError``,
+so build a fresh forward for every backward.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ __all__ = [
 _NORM_FLOOR = 1e-12
 
 _RECORDING = contextvars.ContextVar("ccaps_autodiff_recording", default=True)
+
+# The `_backward` of a node that a backward() has freed.
+_USED = object()
 
 
 @contextlib.contextmanager
@@ -103,7 +112,7 @@ class Tensor:
 
     @property
     def needs_grad(self) -> bool:
-        return self.requires_grad or bool(self._parents)
+        return self.requires_grad or self._backward is not None
 
     def _accum(self, grad: np.ndarray) -> None:
         self.grad = grad if self.grad is None else self.grad + grad
@@ -127,17 +136,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _USED:
+                raise ValueError("backward() through a graph an earlier backward() used")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self._accum(np.asarray(grad))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # popped, so a freed node's arrays can go at once
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 for parent, g in zip(node._parents, node._backward(node.grad)):
                     if g is not None:
                         parent._accum(g)
+            node.grad, node._backward, node._parents = None, _USED, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

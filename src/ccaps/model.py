@@ -183,9 +183,10 @@ def _init_arrays(config: ModelConfig, seed: int, dtype) -> dict[str, np.ndarray]
 class CapsuleNetwork:
     """Parameter store plus the forward pipeline.
 
-    One instance owns a single parameter set; Siamese training is two
-    forward calls against the same instance. Eval-mode forwards are pure
-    (running statistics are never touched), so concurrent readers are safe.
+    One instance owns a single parameter set. Siamese training runs the
+    second view through :meth:`twin`, so the two views can run at once.
+    Eval-mode forwards are pure (running statistics are never touched), so
+    concurrent readers are safe.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -217,6 +218,19 @@ class CapsuleNetwork:
                 self.buffers[name] = arr
             else:
                 self.params[name] = Tensor(arr, requires_grad=True)
+
+    def twin(self) -> "CapsuleNetwork":
+        """A network over this one's parameter arrays and running buffers,
+        with its own leaf Tensors, so its gradients land apart from ours.
+
+        Run it with ``update_running=False``: a train-mode forward then
+        neither reads nor writes the shared buffers.
+        """
+        twin = CapsuleNetwork.__new__(CapsuleNetwork)
+        twin.config = self.config
+        twin.params = {name: Tensor(t.data, requires_grad=True) for name, t in self.params.items()}
+        twin.buffers = self.buffers
+        return twin
 
     # -- state ------------------------------------------------------------
 

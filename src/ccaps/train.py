@@ -1,14 +1,28 @@
 """End-to-end contrastive training.
 
-Each step draws two augmented views of every image in the batch, runs both
-through the *same* parameter store (one network instance, two forward
-calls), computes the temperature-scaled contrastive loss over the
-concatenated embeddings, backpropagates, and applies one Adam update.
-Labels never enter this path: the split is stripped to images before the
-loop starts.
+Each step draws two augmented views of every image in the batch and runs
+them through the *same* parameter arrays on two threads: the calling
+thread runs view i through the network, a worker thread runs view j
+through the network's :meth:`~ccaps.model.CapsuleNetwork.twin`. The
+temperature-scaled contrastive loss over the concatenated embeddings is
+computed on the calling thread with the two embeddings as leaves; then each
+thread backpropagates its own view, and one Adam update follows. Labels
+never enter this path: the split is stripped to images before the loop
+starts.
 
-Batch-norm running statistics advance once per step: the first view's
-pass updates them, the second view's pass runs with updates frozen.
+The views share no work until the loss, and most of a view is
+single-threaded numpy, so the two threads overlap. While both run, each
+view's BLAS calls get half of the process's OpenBLAS threads (at least
+one), set through ``ctypes`` and restored after every step; where no
+OpenBLAS is loaded the threads run unpinned. The worker lives only as long
+as the :func:`train` call. Each parameter gets exactly one gradient from
+each view, and the calling thread adds the two (``a + b == b + a`` in IEEE
+arithmetic), so a step gives the bits of one sequential backward through
+both views.
+
+Batch-norm running statistics advance once per step: view i's thread
+alone updates them, view j's pass runs with updates frozen and, in train
+mode, never reads them.
 
 Determinism: model init, epoch shuffles, and per-image augmentation all
 draw from streams derived from (seed, stream id, epoch, image index), so
@@ -20,7 +34,12 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -246,6 +265,57 @@ def _two_view_batch(batch, config: TrainConfig, stats: NormalizationStats, epoch
     return standardize(views, stats)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS library's thread count, or None."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_split():
+    """Half the OpenBLAS threads, at least one, for each of two concurrent views."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(max(1, before // 2))
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _on_two_threads(pool: ThreadPoolExecutor, here, there):
+    """Run ``here()`` on this thread and ``there()`` on the pool's worker, in a
+    copy of this thread's context; return both results once both have ended.
+
+    An error from ``here`` wins; one from ``there`` is raised as itself.
+    """
+    future = pool.submit(contextvars.copy_context().run, there)
+    try:
+        mine = here()
+    finally:
+        wait([future])  # the worker's view never outlives this call
+    return mine, future.result()
+
+
 def _train_step(
     net: CapsuleNetwork,
     adam: Adam,
@@ -254,27 +324,37 @@ def _train_step(
     batch,
     epoch: int,
     batch_index: int,
+    pool: ThreadPoolExecutor,
 ) -> float:
-    """One Siamese step on `batch`; returns the loss.
+    """One Siamese step on `batch`, view j on `pool`'s worker; returns the loss.
 
-    The step's graph lives only in this frame, so it is freed on return,
-    before the next step builds its own.
+    The step's graphs live only in this frame and each backward frees its
+    own as it walks it, before the next step builds new ones.
     """
     view_i, view_j = _two_view_batch(batch, config, stats, epoch)
-    out_i = net.forward(
-        view_i, mode="train",
-        routing_iterations=config.routing_iterations, update_running=True,
-    )
-    out_j = net.forward(
-        view_j, mode="train",
-        routing_iterations=config.routing_iterations, update_running=False,
-    )
-    loss = nt_xent_op(concat([out_i.z, out_j.z], axis=0), config.temperature)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
-    adam.zero_grad()
-    loss.backward()
+    twin = net.twin()
+    iterations = config.routing_iterations
+    with _blas_split():
+        out_i, out_j = _on_two_threads(
+            pool,
+            lambda: net.forward(view_i, "train", iterations, update_running=True),
+            lambda: twin.forward(view_j, "train", iterations, update_running=False),
+        )
+        z_i = Tensor(out_i.z.data, requires_grad=True)
+        z_j = Tensor(out_j.z.data, requires_grad=True)
+        loss = nt_xent_op(concat([z_i, z_j], axis=0), config.temperature)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss at epoch {epoch}, batch {batch_index}")
+        loss.backward()
+        adam.zero_grad()
+        _on_two_threads(
+            pool, lambda: out_i.z.backward(z_i.grad), lambda: out_j.z.backward(z_j.grad)
+        )
+    for name, p in net.params.items():  # one gradient per view, summed in a fixed order
+        g_j = twin.params[name].grad
+        if g_j is not None:
+            p.grad = g_j if p.grad is None else p.grad + g_j
     try:
         adam.step()
     except TrainingError as exc:
@@ -375,6 +455,7 @@ def train(
     rows: list[MetricsRow] = []
     record = resume_from
     stopped = None  # the KeyboardInterrupt or TrainingError that ended the loop
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ccaps-view-j")
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):
             t0 = time.perf_counter()
@@ -384,7 +465,8 @@ def train(
             ):
                 if batch.size < 2:
                     continue  # batch norm cannot take a single sample
-                batch_losses.append(_train_step(net, adam, config, stats, batch, epoch, batch_index))
+                loss = _train_step(net, adam, config, stats, batch, epoch, batch_index, pool)
+                batch_losses.append(loss)
 
             if not batch_losses:
                 raise TrainingError("no usable batches (all smaller than 2 images)")
@@ -409,6 +491,8 @@ def train(
         if record is None:
             raise  # nothing completed yet, nothing worth writing
         stopped = exc
+    finally:
+        pool.shutdown()  # no thread outlives the call
 
     if checkpoint_dir is not None:
         record.save(checkpoint_dir / "final.ckpt")

@@ -334,6 +334,45 @@ def test_backward_rejects_gradient_of_the_wrong_shape():
     np.testing.assert_array_equal(y.grad, [3.0])
 
 
+def _graph(root):
+    """Every tensor reachable from `root` through recorded parents."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_frees_the_graph_and_refuses_a_second_walk():
+    x = Tensor(RNG.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    gamma = Tensor(np.ones(4), requires_grad=True)
+    beta = Tensor(np.zeros(4))  # a leaf without requires_grad gets no gradient
+    features = batch_norm2d(conv2d(x, w), gamma, beta, np.zeros(4), np.ones(4), training=True).relu()
+    out = l2_normalize(squash(features.reshape(2, 4, 25), axis=-1).reshape(2, 100), axis=1)
+    nodes = _graph(out)
+    interior = [t for t in nodes if t._parents]
+    leaves = [t for t in nodes if t.requires_grad]
+    assert len(interior) == 7 and len(leaves) == 3
+
+    out.backward(RNG.normal(size=out.shape))
+    for node in interior:
+        assert node.grad is None and node._parents == ()
+        assert not callable(node._backward)  # the closure and what it saved are gone
+    kept = [t.grad.copy() for t in leaves]
+    assert all(g is not None and np.all(np.isfinite(g)) for g in kept)
+    assert beta.grad is None
+
+    with pytest.raises(ValueError, match="earlier backward"):
+        out.backward(np.ones(out.shape))
+    with pytest.raises(ValueError, match="earlier backward"):
+        squash(features, axis=1).backward(np.ones(features.shape))  # a new node over a used one
+    for leaf, grad in zip(leaves, kept):
+        np.testing.assert_array_equal(leaf.grad, grad)  # a refused walk accumulates nothing
+
+
 def test_no_graph_when_nothing_requires_grad():
     a = Tensor(RNG.normal(size=(3,)))
     out = concat([squash(a).reshape(1, 3), a.relu().reshape(1, 3)]).transpose(1, 0)

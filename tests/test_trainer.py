@@ -1,6 +1,9 @@
-"""Adam oracle, training determinism, resume equivalence, label hygiene."""
+"""Adam oracle, training determinism, resume equivalence, label hygiene, and the
+threaded step against the sequential oracle in step_reference.py."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from ccaps.augment import AugmentConfig
 from ccaps.autodiff import Tensor
 from ccaps.checkpoint import CheckpointError, canonical_json
 from ccaps.data import load_cifar10_binary
-from ccaps.model import ModelConfig
+from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.train import (
     Adam,
     CheckpointMismatchError,
@@ -23,6 +26,7 @@ from ccaps.train import (
     train,
     write_metrics_csv,
 )
+from step_reference import sequential_train
 
 THIN_MODEL = ModelConfig(
     conv_channels=(4, 8, 16),
@@ -399,6 +403,73 @@ def test_interrupt_writes_final_checkpoint(train_subset, tmp_path):
     assert result.checkpoint.epoch == 1
     assert (tmp_path / "final.ckpt").exists()
     assert len(read_metrics_csv(tmp_path / "m.csv")) == 1
+
+
+def _assert_replays_sequential(config, split):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two views' Python as finely as it goes
+    try:
+        result = train(config, split)
+    finally:
+        sys.setswitchinterval(interval)
+    losses, arrays = sequential_train(config, split)
+    assert [row.loss for row in result.metrics] == losses
+    got = {k: v for k, v in result.checkpoint.arrays.items() if not k.startswith("norm.")}
+    assert set(got) == set(arrays)
+    for name, expected in arrays.items():
+        assert got[name].dtype == expected.dtype and got[name].tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_threaded_step_replays_the_sequential_step(train_subset, iterations):
+    # four batches of 16 per epoch
+    _assert_replays_sequential(_config(epochs=3, routing_iterations=iterations), train_subset)
+
+
+def test_threaded_step_replays_the_sequential_step_on_the_default_model(small_data_dir):
+    split, _ = load_cifar10_binary(small_data_dir)
+    _assert_replays_sequential(TrainConfig(epochs=1, batch_size=64, seed=5), split.take(128))
+
+
+def _blas_threads():
+    import importlib
+
+    blas = importlib.import_module("ccaps.train")._openblas_threads()
+    return None if blas is None else blas[0]()
+
+
+@pytest.mark.parametrize("way_out", ["return", "worker error", "interrupt"])
+def test_train_leaves_no_thread_and_restores_blas_threads(train_subset, monkeypatch, way_out):
+    threads, blas = threading.active_count(), _blas_threads()
+    forward = CapsuleNetwork.forward
+    seen = []  # (thread is the main thread, BLAS threads) at each view's forward
+    error = TrainingError("view j failed")
+
+    def watched(self, *args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        seen.append((on_main, _blas_threads()))
+        if way_out == "worker error" and not on_main:
+            raise error
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(CapsuleNetwork, "forward", watched)
+    if way_out == "worker error":
+        with pytest.raises(TrainingError) as raised:
+            train(_config(epochs=2), train_subset)
+        assert raised.value is error
+    else:
+
+        def progress(row):
+            if way_out == "interrupt":
+                raise KeyboardInterrupt
+
+        result = train(_config(epochs=2), train_subset, progress=progress)
+        assert result.interrupted == (way_out == "interrupt")
+    assert threading.active_count() == threads
+    assert {on_main for on_main, _ in seen} == {True, False}  # one view on each thread
+    if blas is not None:
+        assert _blas_threads() == blas
+        assert {count for _, count in seen} == {max(1, blas // 2)}
 
 
 def test_eval_hook_cadence(train_subset):
