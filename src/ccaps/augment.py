@@ -45,6 +45,8 @@ class AugmentConfig:
     def __post_init__(self):
         object.__setattr__(self, "crop_scale_range", tuple(self.crop_scale_range))
         object.__setattr__(self, "jitter_strengths", tuple(self.jitter_strengths))
+        if len(self.crop_scale_range) != 2 or len(self.jitter_strengths) != 4:
+            raise ValueError("crop_scale_range takes 2 values and jitter_strengths 4")
         lo, hi = self.crop_scale_range
         if not (0.0 < lo <= hi <= 1.0):
             raise ValueError(f"crop_scale_range must satisfy 0 < low <= high <= 1, got {self.crop_scale_range}")

@@ -160,13 +160,9 @@ class Tensor:
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return _node(self.data.reshape(shape), (self,), lambda g: (g.reshape(self.data.shape),))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = tuple(int(i) for i in np.argsort(axes))
         return _node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .checkpoint import CheckpointError, write_atomic
-from .data import DataError, load_cifar10_binary, memory_view
+from .data import DataError, load_cifar10_binary
 from .knn import EvalConfig, evaluate
 from .model import ModelConfig
 from .plotting import PlotError, plot_metrics_csv
@@ -255,6 +255,11 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         except DataError:
             marker.unlink()  # stale marker, refetch
 
+    if not hasattr(tarfile, "data_filter"):  # PEP 706, which _safe_extract_tar relies on
+        raise CliError(
+            "fetch needs tarfile extraction filters (PEP 706): "
+            "Python 3.10.12, 3.11.4, 3.12 or later"
+        )
     source = args.source or DEFAULT_DATA_URL
     scheme, expected = _checksum_scheme(args.checksum)
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,19 +310,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     eval_hook = None
     if config.eval_every:
-        memory = memory_view(train_split)
         test_eval = (
             test_split.take(settings["eval_test_subset"])
             if settings["eval_test_subset"]
             else test_split
         )
         knn_cfg = EvalConfig(
-            k=min(settings["knn_k"], len(memory)), temperature=config.temperature
+            k=min(settings["knn_k"], len(train_split)), temperature=config.temperature
         )
 
         def eval_hook(record, epoch):
             net, stats, _ = network_from_record(record)
-            result = evaluate(net, memory, test_eval, stats, knn_cfg)
+            result = evaluate(net, train_split, test_eval, stats, knn_cfg)
             return result.top1, result.top5
 
     resume_from = None
@@ -372,7 +376,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     data_dir = _require_data_dir(settings)
     train_split, test_split = load_cifar10_binary(data_dir)
-    memory = memory_view(train_split.take(args.memory_subset) if args.memory_subset else train_split)
+    memory = train_split.take(args.memory_subset) if args.memory_subset else train_split
     test = test_split.take(args.test_subset) if args.test_subset else test_split
 
     cfg = EvalConfig(k=min(settings["knn_k"], len(memory)), temperature=settings["temperature"])

@@ -134,11 +134,6 @@ def load_cifar10_binary(path: str | os.PathLike) -> tuple[DatasetSplit, DatasetS
     return train, test
 
 
-def memory_view(train: DatasetSplit) -> DatasetSplit:
-    """The evaluation-time memory split: the train records, file order kept."""
-    return DatasetSplit(train.images, train.labels, "memory")
-
-
 _STATS_CHUNK = 2048  # images converted to float64 at a time
 
 

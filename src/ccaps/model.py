@@ -23,6 +23,7 @@ what the loss and the evaluator assume.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,12 @@ __all__ = [
 ]
 
 
+_SIZE_FIELDS = (
+    "in_channels", "image_size", "kernel_size", "primary_channels",
+    "capsule_dim", "num_classes", "class_capsule_dim",
+)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters; every size below derives from these."""
@@ -67,8 +74,21 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
         object.__setattr__(self, "conv_strides", tuple(self.conv_strides))
-        if len(self.conv_channels) != len(self.conv_strides):
-            raise ValueError("conv_channels and conv_strides must have equal length")
+        if not self.conv_channels or len(self.conv_channels) != len(self.conv_strides):
+            raise ValueError("conv_channels and conv_strides must be non-empty and of equal length")
+        # every value is checked before the first division, so a bad stored
+        # config raises ValueError here and nothing else later
+        bounds = [(name, getattr(self, name), 1) for name in _SIZE_FIELDS]
+        bounds += [(f"conv_channels[{i}]", c, 1) for i, c in enumerate(self.conv_channels)]
+        bounds += [(f"conv_strides[{i}]", s, 1) for i, s in enumerate(self.conv_strides)]
+        bounds.append(("padding", self.padding, 0))
+        for name, value, least in bounds:
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not self.bn_eps > 0:
+            raise ValueError(f"bn_eps must be positive, got {self.bn_eps!r}")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
         if self.primary_channels % self.capsule_dim != 0:
             raise ValueError("primary_channels must be a multiple of capsule_dim")
         if min(self.conv_spatial_sizes()) < 1:
@@ -207,6 +227,9 @@ class CapsuleNetwork:
             arr = np.asarray(arr)
             if arr.shape != expected[name] or arr.dtype.kind != "f":
                 raise ValueError(f"state {name!r}: {arr.dtype} {arr.shape}, expected float {expected[name]}")
+        dtypes = sorted({str(np.asarray(arr).dtype) for arr in arrays.values()})
+        if len(dtypes) > 1:  # one network runs in one precision
+            raise ValueError(f"state arrays mix dtypes {dtypes}; they must share one")
         net._adopt({k: np.array(v) for k, v in arrays.items()})
         return net
 

@@ -70,7 +70,6 @@ class ParamSummary:
 
 @dataclass(frozen=True)
 class FlopSummary:
-    conv_macs: tuple[tuple[str, int], ...]  # per conv layer, input resolution fixed
     conv_total: int
     votes_macs: int
     routing_macs_per_iteration: int
@@ -158,10 +157,7 @@ def count_params(config: ModelConfig = ModelConfig()) -> ParamSummary:
 
 def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
     reports = layer_reports(config)
-    conv_rows = tuple(
-        (r.name, r.macs) for r in reports if r.name.startswith(("Conv2d", "PrimaryCaps"))
-    )
-    conv_total = sum(m for _, m in conv_rows)
+    conv_total = sum(r.macs for r in reports if r.name.startswith(("Conv2d", "PrimaryCaps")))
     votes = next(r.macs for r in reports if r.name == "ClassCaps")
     # one routing iteration: coupling-weighted vote sum + agreement dot products
     routing = 2 * config.num_primary_capsules * config.num_classes * config.class_capsule_dim
@@ -170,7 +166,6 @@ def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
         2 * c * s * s for c, s in zip(config.conv_channels, sizes)
     )  # batch norm scale+shift and relu, per channel map
     return FlopSummary(
-        conv_macs=conv_rows,
         conv_total=conv_total,
         votes_macs=votes,
         routing_macs_per_iteration=routing,

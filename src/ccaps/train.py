@@ -114,12 +114,9 @@ class TrainConfig:
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ValueError("cadences must be non-negative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`, also for a dict read back from JSON.
+        """Inverse of :func:`dataclasses.asdict`, also for a dict read back from JSON.
 
         A stored ``augment.seed`` (a removed field) is dropped. Any other
         missing or unknown key, or a value the configs reject, raises
@@ -141,7 +138,7 @@ class TrainConfig:
         deterministic timing flag) do not change any computed step, so a
         resumed run may alter them; everything else must match.
         """
-        d = self.to_dict()
+        d = asdict(self)
         for key in ("epochs", "checkpoint_every", "eval_every", "deterministic"):
             d.pop(key)
         return d
@@ -252,10 +249,21 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray], steps: int) -> None:
-        self.steps = steps
-        for k in self.m:
-            self.m[k] = np.array(arrays[f"adam.m.{k}"])
-            self.v[k] = np.array(arrays[f"adam.v.{k}"])
+        """Adopt stored moments; one whose shape or dtype differs from its
+        parameter's raises :class:`CheckpointError` before any state changes."""
+        m = {k: _moment(arrays, f"adam.m.{k}", p.data) for k, p in self.params.items()}
+        v = {k: _moment(arrays, f"adam.v.{k}", p.data) for k, p in self.params.items()}
+        self.steps, self.m, self.v = steps, m, v
+
+
+def _moment(arrays: dict[str, np.ndarray], key: str, param: np.ndarray) -> np.ndarray:
+    arr = np.array(arrays[key])
+    if arr.shape != param.shape or arr.dtype != param.dtype:
+        raise CheckpointError(
+            f"checkpoint array {key!r} is {arr.dtype} {arr.shape}; "
+            f"its parameter is {param.dtype} {param.shape}"
+        )
+    return arr
 
 
 def _two_view_batch(batch, config: TrainConfig, stats: NormalizationStats, epoch: int):
@@ -377,7 +385,7 @@ def _build_record(
         "kind": "train-state",
         "epoch": epoch,
         "adam_steps": adam.steps,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_hash": config.hash(),
     }
     return CheckpointRecord(arrays=arrays, meta=meta)
@@ -424,7 +432,9 @@ def train(
     A run stopped by ``KeyboardInterrupt`` or :class:`TrainingError` after
     at least one completed epoch still writes ``final.ckpt`` for the last
     completed epoch and the metrics rows; an interrupted run then returns
-    with ``interrupted`` set, a failed one re-raises its error.
+    with ``interrupted`` set, a failed one re-raises its error. Each
+    periodic checkpoint is written after the metrics CSV so far, so a run
+    killed by any other means keeps the metrics of its last checkpoint.
     """
     data = data.without_labels()
     if len(data) < 2:
@@ -451,8 +461,16 @@ def train(
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if checkpoint_dir is not None:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
     rows: list[MetricsRow] = []
+    history: list[MetricsRow] = []
+    if resume_from is not None and metrics_path is not None and Path(metrics_path).exists():
+        # keep the pre-resume history so the file reads as one run
+        history = [r for r in read_metrics_csv(metrics_path) if r.epoch <= start_epoch]
+
+    def write_metrics():
+        if metrics_path is not None:
+            write_metrics_csv(metrics_path, history + rows)
+
     record = resume_from
     stopped = None  # the KeyboardInterrupt or TrainingError that ended the loop
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ccaps-view-j")
@@ -486,6 +504,7 @@ def train(
                 and config.checkpoint_every
                 and epoch % config.checkpoint_every == 0
             ):
+                write_metrics()  # first, so no checkpoint holds an epoch the CSV lacks
                 record.save(checkpoint_dir / f"epoch_{epoch:04d}.ckpt")
     except (KeyboardInterrupt, TrainingError) as exc:
         if record is None:
@@ -494,15 +513,9 @@ def train(
     finally:
         pool.shutdown()  # no thread outlives the call
 
+    write_metrics()
     if checkpoint_dir is not None:
         record.save(checkpoint_dir / "final.ckpt")
-    if metrics_path is not None:
-        output_rows = rows
-        if resume_from is not None and Path(metrics_path).exists():
-            # keep the pre-resume history so the file reads as one run
-            previous = read_metrics_csv(metrics_path)
-            output_rows = [r for r in previous if r.epoch <= start_epoch] + rows
-        write_metrics_csv(metrics_path, output_rows)
     if isinstance(stopped, TrainingError):
         raise stopped
     return TrainResult(checkpoint=record, metrics=rows, interrupted=stopped is not None)

@@ -14,7 +14,7 @@ import pytest
 
 from ccaps.autodiff import Tensor, concat, squash
 from ccaps.cli import main
-from ccaps.data import compute_normalization_stats, load_cifar10_binary, memory_view
+from ccaps.data import compute_normalization_stats, load_cifar10_binary
 from ccaps.knn import EvalConfig, FeatureBank, evaluate, weighted_knn_predict
 from ccaps.loss import nt_xent_op
 from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
@@ -294,7 +294,7 @@ def test_c8_smoke_training_improves_knn(small_data_dir):
 
     stats = compute_normalization_stats(subset.without_labels())
     untrained = CapsuleNetwork(config.model, seed=config.seed)
-    before = evaluate(untrained, memory_view(subset), held_out, stats, knn_cfg)
+    before = evaluate(untrained, subset, held_out, stats, knn_cfg)
 
     result = train(config, subset)
     assert result.metrics[-1].loss < result.metrics[0].loss, (
@@ -302,7 +302,7 @@ def test_c8_smoke_training_improves_knn(small_data_dir):
     )
 
     net, stats2, _ = network_from_record(result.checkpoint)
-    after = evaluate(net, memory_view(subset), held_out, stats2, knn_cfg)
+    after = evaluate(net, subset, held_out, stats2, knn_cfg)
     gain = after.top1 - before.top1
     assert gain >= 5.0, f"top-1 gain {gain:.2f}pp (untrained {before.top1}%, trained {after.top1}%)"
     _verdict(

@@ -330,7 +330,7 @@ def test_backward_rejects_gradient_of_the_wrong_shape():
 
     # a scalar loss takes a 0-d gradient
     y = Tensor(np.array([2.0]), requires_grad=True)
-    y.reshape(()).backward(np.array(3.0))
+    y.reshape().backward(np.array(3.0))
     np.testing.assert_array_equal(y.grad, [3.0])
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ccaps
+import ccaps.train as train_mod
 from ccaps.augment import AugmentConfig
 from ccaps.cli import (
     _DEFAULTS,
@@ -87,6 +88,17 @@ def test_fetch_rejects_a_file_written_through_a_symlink_member(tmp_path, capsys)
     assert not (tmp_path / "outside" / "escaped.txt").exists()
     assert rc == 1
     assert "archive member" in capsys.readouterr().err
+
+
+def test_fetch_without_extraction_filters_refuses_before_writing(archive, tmp_path, capsys, monkeypatch):
+    path, digest = archive
+    dest = tmp_path / "data"
+    monkeypatch.delattr(tarfile, "data_filter")  # a Python from before PEP 706
+    rc = main(["fetch", str(path), "--checksum", digest, "--dest", str(dest)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "PEP 706" in err, err
+    assert not dest.exists() or not any(dest.iterdir())
 
 
 def test_fetched_directory_passes_loader_validation(archive, tmp_path):
@@ -301,11 +313,8 @@ def test_cli_train_lock_left_by_a_dead_run_does_not_block(small_data_dir, tmp_pa
 def test_cli_divergence_exits_3_and_keeps_the_completed_epochs(
     small_data_dir, tmp_path, capsys, monkeypatch
 ):
-    import importlib
-
     from ccaps.autodiff import Tensor
 
-    train_mod = importlib.import_module("ccaps.train")
     loss = train_mod.nt_xent_op
     steps = []
 
@@ -443,7 +452,13 @@ def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_
     record = CheckpointRecord.load(out / "ckpt" / "final.ckpt")
     without_config = {k: v for k, v in record.meta.items() if k != "config"}
     unknown_key = {**record.meta, "config": {**record.meta["config"], "blur": 1}}
-    for name, meta, named in (("no-config", without_config, "'config'"), ("unknown", unknown_key, "'blur'")):
+    config = record.meta["config"]
+    zero_capsule_dim = {**record.meta, "config": {**config, "model": {**config["model"], "capsule_dim": 0}}}
+    for name, meta, named in (
+        ("no-config", without_config, "'config'"),
+        ("unknown", unknown_key, "'blur'"),
+        ("zero-capsule-dim", zero_capsule_dim, "capsule_dim"),
+    ):
         path = CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / f"{name}.ckpt")
         rc = main(["eval", "--checkpoint", str(path), "--data-dir", str(small_data_dir)])
         err = capsys.readouterr().err

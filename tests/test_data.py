@@ -17,7 +17,6 @@ from ccaps.data import (
     batch_iterator,
     compute_normalization_stats,
     load_cifar10_binary,
-    memory_view,
     standardize,
     to_unit_interval,
 )
@@ -41,14 +40,6 @@ def test_per_class_counts_sum_to_6000(full_data_dir):
     combined = np.concatenate([train.labels, test.labels])
     counts = np.bincount(combined, minlength=NUM_CLASSES)
     assert np.all(counts == 6000)
-
-
-def test_memory_view_same_records_same_order(small_data_dir):
-    train, _ = load_cifar10_binary(small_data_dir)
-    memory = memory_view(train)
-    assert memory.split_kind == "memory"
-    assert memory.images is train.images
-    np.testing.assert_array_equal(memory.labels, train.labels)
 
 
 def test_missing_file_names_the_file(tmp_path):

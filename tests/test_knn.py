@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccaps.data import DatasetSplit, load_cifar10_binary, memory_view
+from ccaps.data import DatasetSplit, load_cifar10_binary
 from ccaps.knn import (
     EvalConfig,
     FeatureBank,
@@ -284,7 +284,7 @@ def trained_state(small_data_dir):
 
 def test_feature_bank_rows_match_per_record_forward(trained_state):
     net, stats, split, _ = trained_state
-    memory = memory_view(split.take(32))
+    memory = split.take(32)
     bank = build_feature_bank(net, memory, stats)
     assert len(bank) == 32
     np.testing.assert_allclose(np.linalg.norm(bank.features, axis=1), 1.0, atol=1e-5)
@@ -300,7 +300,7 @@ def test_extract_features_records_no_graph_and_keeps_the_graph_path_bits(trained
     from ccaps.data import standardize, to_unit_interval
 
     net, stats, split, _ = trained_state
-    memory = memory_view(split.take(40))
+    memory = split.take(40)
     x = standardize(to_unit_interval(memory.images), stats)
     recorded = net.conv_block(x, mode="eval")  # weights require grad: the graph is kept
     assert recorded._parents != ()
@@ -321,7 +321,7 @@ def test_extract_features_records_no_graph_and_keeps_the_graph_path_bits(trained
 
 def test_feature_bank_rebuild_is_bitwise_identical(trained_state):
     net, stats, split, _ = trained_state
-    memory = memory_view(split.take(48))
+    memory = split.take(48)
     a = build_feature_bank(net, memory, stats)
     b = build_feature_bank(net, memory, stats)
     np.testing.assert_array_equal(a.features, b.features)
@@ -329,7 +329,7 @@ def test_feature_bank_rebuild_is_bitwise_identical(trained_state):
 
 def test_self_retrieval_is_perfect(trained_state):
     net, stats, split, _ = trained_state
-    subset = memory_view(split.take(40))
+    subset = split.take(40)
     feats = extract_features(net, subset, stats)
     bank = FeatureBank(feats, np.asarray(subset.labels))
     cfg = EvalConfig(k=1, temperature=0.2)
@@ -340,7 +340,7 @@ def test_self_retrieval_is_perfect(trained_state):
 def test_evaluate_counts_and_nesting(trained_state):
     net, stats, split, test = trained_state
     result = evaluate(
-        net, memory_view(split.take(128)), test.take(64), stats, EvalConfig(k=16)
+        net, split.take(128), test.take(64), stats, EvalConfig(k=16)
     )
     assert result.total == 64
     assert result.top5 >= result.top1
@@ -351,10 +351,10 @@ def test_evaluate_counts_and_nesting(trained_state):
 def test_evaluate_rejects_empty_or_unlabelled(trained_state):
     net, stats, split, test = trained_state
     with pytest.raises(ValueError, match="empty"):
-        evaluate(net, memory_view(split.take(8)), test.take(0), stats, EvalConfig(k=2))
+        evaluate(net, split.take(8), test.take(0), stats, EvalConfig(k=2))
     with pytest.raises(ValueError, match="labels"):
         evaluate(
-            net, memory_view(split.take(8)).without_labels(), test.take(8), stats, EvalConfig(k=2)
+            net, split.take(8).without_labels(), test.take(8), stats, EvalConfig(k=2)
         )
 
 
@@ -364,7 +364,7 @@ def test_a_nan_weight_fails_the_bank_instead_of_ranking(trained_state):
     broken = CapsuleNetwork.from_state(net.config, net.state_arrays())
     broken.params["conv1.weight"].data[0, 0, 1, 1] = np.nan
     with pytest.raises(ValueError, match="bank rows must be finite and unit norm"):
-        build_feature_bank(broken, memory_view(split.take(16)), stats)
+        build_feature_bank(broken, split.take(16), stats)
 
 
 def test_evaluate_rejects_non_finite_query_features(trained_state, monkeypatch):
@@ -382,4 +382,4 @@ def test_evaluate_rejects_non_finite_query_features(trained_state, monkeypatch):
 
     monkeypatch.setattr(knn, "extract_features", nan_queries)
     with pytest.raises(ValueError, match="query rows must be finite and unit norm"):
-        evaluate(net, memory_view(split.take(16)), queries, stats, EvalConfig(k=4))
+        evaluate(net, split.take(16), queries, stats, EvalConfig(k=4))

@@ -58,11 +58,16 @@ def test_counts_are_additive_over_layers():
 
 
 def test_doubling_resolution_quadruples_conv_macs():
-    base = count_flops(DEFAULT)
-    big = count_flops(ModelConfig(image_size=64))
-    for (name_a, macs_a), (name_b, macs_b) in zip(base.conv_macs, big.conv_macs):
+    def conv_rows(config):
+        reports = layer_reports(config)
+        return [(r.name, r.macs) for r in reports if r.name.startswith(("Conv2d", "PrimaryCaps"))]
+
+    base, big = conv_rows(DEFAULT), conv_rows(ModelConfig(image_size=64))
+    assert len(base) == len(big) == 7
+    for (name_a, macs_a), (name_b, macs_b) in zip(base, big):
         assert name_a == name_b
         assert macs_b == 4 * macs_a
+    assert count_flops(ModelConfig(image_size=64)).conv_total == 4 * count_flops(DEFAULT).conv_total
 
 
 def test_counts_are_config_pure():

@@ -4,10 +4,13 @@ threaded step against the sequential oracle in step_reference.py."""
 import json
 import sys
 import threading
+import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import ccaps.train as train_mod
 from ccaps.augment import AugmentConfig
 from ccaps.autodiff import Tensor
 from ccaps.checkpoint import CheckpointError, canonical_json
@@ -54,6 +57,14 @@ def _config(**overrides) -> TrainConfig:
 def train_subset(small_data_dir):
     split, _ = load_cifar10_binary(small_data_dir)
     return split.take(64)
+
+
+def test_import_ccaps_train_binds_the_module_not_its_function():
+    import ccaps
+
+    assert isinstance(train_mod, types.ModuleType)
+    assert ccaps.train is train_mod
+    assert train_mod.train is train
 
 
 # -- Adam ------------------------------------------------------------------------
@@ -161,9 +172,9 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = _config(eval_every=2, checkpoint_every=1)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(asdict(cfg)) == cfg
     # as read back from a checkpoint, where JSON has turned tuples into lists
-    stored = json.loads(canonical_json(cfg.to_dict()))
+    stored = json.loads(canonical_json(asdict(cfg)))
     assert TrainConfig.from_dict(stored) == cfg
     assert TrainConfig.from_dict(stored).hash() == cfg.hash()
 
@@ -183,23 +194,51 @@ def test_config_hashes_are_stable():
 
 
 def test_config_from_dict_names_a_missing_or_unknown_key():
-    stored = TrainConfig().to_dict()
+    stored = asdict(TrainConfig())
     del stored["model"]["padding"]
     with pytest.raises(CheckpointError, match="config.model: no 'padding' key"):
         TrainConfig.from_dict(stored)
-    stored = TrainConfig().to_dict()
+    stored = asdict(TrainConfig())
     stored["augment"]["blur_probability"] = 0.5
     with pytest.raises(CheckpointError, match="config.augment: unknown key 'blur_probability'"):
         TrainConfig.from_dict(stored)
-    stored = TrainConfig().to_dict()
+    stored = asdict(TrainConfig())
     stored["temperature"] = "warm"
     with pytest.raises(CheckpointError, match="invalid"):
         TrainConfig.from_dict(stored)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "capsule_dim", 0),  # used to divide by zero
+        ("model", "conv_strides", [1, 0, 1, 2, 1, 2]),  # used to divide by zero
+        ("model", "kernel_size", 0),
+        ("model", "kernel_size", 2.5),
+        ("model", "num_classes", 0),
+        ("model", "in_channels", 0),
+        ("model", "image_size", -32),
+        ("model", "primary_channels", 0),
+        ("model", "class_capsule_dim", 0),
+        ("model", "conv_channels", [16, 0, 32, 64, 64, 128]),
+        ("model", "padding", -1),
+        ("model", "bn_eps", 0.0),
+        ("model", "bn_momentum", 1.5),
+        ("model", "capsule_dim", None),
+        ("augment", "crop_scale_range", [0.2, 0.5, 1.0]),
+        ("augment", "jitter_strengths", [0.4, 0.4, 0.4]),
+    ],
+)
+def test_config_from_dict_refuses_an_out_of_range_value_with_a_checkpoint_error(section, key, value):
+    stored = asdict(TrainConfig())
+    stored[section][key] = value
+    with pytest.raises(CheckpointError, match=key):
+        TrainConfig.from_dict(stored)
+
+
 def test_config_from_dict_drops_the_removed_augment_seed():
     # checkpoints written while AugmentConfig had a seed field still load
-    stored = TrainConfig().to_dict()
+    stored = asdict(TrainConfig())
     stored["augment"]["seed"] = 3
     assert TrainConfig.from_dict(stored) == TrainConfig()
 
@@ -319,6 +358,26 @@ def test_resume_names_a_missing_adam_moment(one_epoch_record, train_subset):
             train(_config(), train_subset, resume_from=_without(one_epoch_record, array=name))
 
 
+def _with(record: CheckpointRecord, name: str, array: np.ndarray) -> CheckpointRecord:
+    """`record` with one array replaced."""
+    return CheckpointRecord(arrays={**record.arrays, name: array}, meta=record.meta)
+
+
+def test_resume_refuses_a_model_array_in_a_second_dtype(one_epoch_record, train_subset):
+    widened = one_epoch_record.arrays["conv1.weight"].astype(np.float64)
+    with pytest.raises(ValueError, match="mix dtypes"):
+        train(_config(), train_subset, resume_from=_with(one_epoch_record, "conv1.weight", widened))
+
+
+@pytest.mark.parametrize("change", ["dtype", "shape"])
+def test_resume_refuses_an_adam_moment_unlike_its_parameter(one_epoch_record, train_subset, change):
+    name = "adam.v.conv1.weight"
+    moment = one_epoch_record.arrays[name]
+    bad = moment.astype(np.float64) if change == "dtype" else moment[:1]
+    with pytest.raises(CheckpointError, match=name):
+        train(_config(), train_subset, resume_from=_with(one_epoch_record, name, bad))
+
+
 def test_checkpoint_reload_reproduces_eval_forward_bitwise(train_subset):
     cfg = _config(epochs=1)
     result = train(cfg, train_subset)
@@ -340,10 +399,6 @@ def test_checkpoint_reload_reproduces_eval_forward_bitwise(train_subset):
 
 
 def test_non_finite_loss_aborts_with_batch_index(train_subset, tmp_path, monkeypatch):
-    import importlib
-
-    train_mod = importlib.import_module("ccaps.train")
-
     def poisoned(z, tau):
         return Tensor(np.float32(np.inf))
 
@@ -356,10 +411,7 @@ def test_non_finite_loss_aborts_with_batch_index(train_subset, tmp_path, monkeyp
 def test_divergence_keeps_the_completed_epochs_and_resumes_bit_for_bit(
     train_subset, tmp_path, monkeypatch
 ):
-    import importlib
-
-    train_mod = importlib.import_module("ccaps.train")
-    step = train_mod.Adam.step
+    step = Adam.step
 
     def poisoned_step(self):
         if self.steps == 10:  # epoch 3, batch 2: four batches of 16 per epoch
@@ -368,7 +420,7 @@ def test_divergence_keeps_the_completed_epochs_and_resumes_bit_for_bit(
 
     cfg = _config(epochs=4)
     run = tmp_path / "run"
-    monkeypatch.setattr(train_mod.Adam, "step", poisoned_step)
+    monkeypatch.setattr(Adam, "step", poisoned_step)
     with pytest.raises(TrainingError, match=r"'conv1.weight' at epoch 3, batch 2$"):
         train(cfg, train_subset, checkpoint_dir=run, metrics_path=run / "m.csv")
     monkeypatch.undo()
@@ -382,6 +434,25 @@ def test_divergence_keeps_the_completed_epochs_and_resumes_bit_for_bit(
     train(cfg, train_subset, checkpoint_dir=straight, metrics_path=straight / "m.csv")
     assert resumed.checkpoint.epoch == 4
     assert (run / "final.ckpt").read_bytes() == (straight / "final.ckpt").read_bytes()
+    assert (run / "m.csv").read_bytes() == (straight / "m.csv").read_bytes()
+
+
+def test_a_crashed_run_keeps_the_metrics_of_its_last_checkpoint(train_subset, tmp_path):
+    def crash_in_epoch_3(row):
+        if row.epoch == 3:  # stands for any uncaught error, or a SIGKILL
+            raise RuntimeError("crash")
+
+    cfg = _config(epochs=4, checkpoint_every=2)
+    run = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="crash"):
+        train(cfg, train_subset, checkpoint_dir=run, metrics_path=run / "m.csv", progress=crash_in_epoch_3)
+    assert not (run / "final.ckpt").exists()
+    assert [r.epoch for r in read_metrics_csv(run / "m.csv")] == [1, 2]
+
+    kept = CheckpointRecord.load(run / "epoch_0002.ckpt")
+    train(cfg, train_subset, checkpoint_dir=run, metrics_path=run / "m.csv", resume_from=kept)
+    straight = tmp_path / "straight"
+    train(cfg, train_subset, checkpoint_dir=straight, metrics_path=straight / "m.csv")
     assert (run / "m.csv").read_bytes() == (straight / "m.csv").read_bytes()
 
 
@@ -432,9 +503,7 @@ def test_threaded_step_replays_the_sequential_step_on_the_default_model(small_da
 
 
 def _blas_threads():
-    import importlib
-
-    blas = importlib.import_module("ccaps.train")._openblas_threads()
+    blas = train_mod._openblas_threads()
     return None if blas is None else blas[0]()
 
 
