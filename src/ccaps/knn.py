@@ -23,6 +23,7 @@ array: about 1.1x the similarity bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -56,8 +57,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
 
 
 def _require_unit_rows(rows: np.ndarray, what: str) -> None:

@@ -24,6 +24,15 @@ Batch-norm running statistics advance once per step: view i's thread
 alone updates them, view j's pass runs with updates frozen and, in train
 mode, never reads them.
 
+Process-wide allocator settings: on glibc, the first :func:`train` call
+sets, for the rest of the process's life, a 32 MiB mmap threshold, a 1 GiB
+trim threshold and one malloc arena. With glibc's defaults the graph a step
+frees while ``backward`` walks it went back to the kernel, and the next
+step faulted it in again: 9-20k pages and 55-90 ms of system time per
+default-model step at batch 64 on a 2-vCPU host, against about one page
+with the settings. Each call ends with one ``malloc_trim(0)``, so the heap
+it kept does not raise the peak memory of what runs next.
+
 Determinism: model init, epoch shuffles, and per-image augmentation all
 draw from streams derived from (seed, stream id, epoch, image index), so
 identical configs replay identical runs, and resuming from an epoch
@@ -38,6 +47,7 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
@@ -101,8 +111,12 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
         if self.routing_iterations < 1:
             raise ValueError("routing_iterations must be >= 1")
         if self.epochs < 1:
@@ -294,6 +308,34 @@ def _openblas_threads():
     return None
 
 
+def _glibc():
+    """The process's C library if it is glibc (it has ``mallopt`` and ``malloc_trim``), or None."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    except (OSError, AttributeError, TypeError):
+        return None
+    return libc
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc <malloc.h>
+
+
+@functools.cache
+def _keep_heap():
+    """Set glibc's allocator once per process (see the module docstring); returns glibc or None.
+
+    A fixed trim threshold alone also stops glibc's moving mmap threshold,
+    and without the arena limit the worker's own arena still faults.
+    """
+    libc = _glibc()
+    if libc is not None:
+        for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1)):
+            libc.mallopt(param, value)
+    return libc
+
+
 @contextlib.contextmanager
 def _blas_split():
     """Half the OpenBLAS threads, at least one, for each of two concurrent views."""
@@ -435,7 +477,11 @@ def train(
     with ``interrupted`` set, a failed one re-raises its error. Each
     periodic checkpoint is written after the metrics CSV so far, so a run
     killed by any other means keeps the metrics of its last checkpoint.
+
+    On glibc the first call changes the allocator for the whole process
+    (see the module docstring).
     """
+    libc = _keep_heap()
     data = data.without_labels()
     if len(data) < 2:
         raise TrainingError("need at least 2 training images")
@@ -512,6 +558,8 @@ def train(
         stopped = exc
     finally:
         pool.shutdown()  # no thread outlives the call
+        if libc is not None:
+            libc.malloc_trim(0)  # hand the kept heap back before whatever runs next
 
     write_metrics()
     if checkpoint_dir is not None:

@@ -454,16 +454,29 @@ def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_
     unknown_key = {**record.meta, "config": {**record.meta["config"], "blur": 1}}
     config = record.meta["config"]
     zero_capsule_dim = {**record.meta, "config": {**config, "model": {**config["model"], "capsule_dim": 0}}}
+    nan_rate = {**record.meta, "config": {**config, "learning_rate": float("nan")}}
     for name, meta, named in (
         ("no-config", without_config, "'config'"),
         ("unknown", unknown_key, "'blur'"),
         ("zero-capsule-dim", zero_capsule_dim, "capsule_dim"),
+        ("nan-learning-rate", nan_rate, "learning_rate"),
     ):
         path = CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / f"{name}.ckpt")
         rc = main(["eval", "--checkpoint", str(path), "--data-dir", str(small_data_dir)])
         err = capsys.readouterr().err
         assert rc == 1, name
         assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--learning-rate", "-1e-3"),
+                                         ("--weight-decay", "-1"), ("--temperature", "inf")])
+def test_cli_train_refuses_a_bad_rate_before_training(small_data_dir, tmp_path, capsys, flag, value):
+    ckpt = tmp_path / "ckpt"
+    rc = main([*_small_train_args(small_data_dir, ckpt), f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and flag[2:].replace("-", "_") in captured.err
+    assert "epoch" not in captured.out and not ckpt.exists()
 
 
 def test_cli_checkpoint_missing_a_record_key_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys):

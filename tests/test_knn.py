@@ -142,6 +142,9 @@ def test_config_validation():
         EvalConfig(k=0)
     with pytest.raises(ValueError):
         EvalConfig(temperature=0)
+    for temperature in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            EvalConfig(temperature=temperature)
 
 
 def test_bank_validation():

@@ -1,11 +1,15 @@
 """Adam oracle, training determinism, resume equivalence, label hygiene, and the
 threaded step against the sequential oracle in step_reference.py."""
 
+import functools
 import json
+import os
+import subprocess
 import sys
 import threading
 import types
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,31 @@ def test_config_validation():
         _config(epochs=0)
     with pytest.raises(ValueError):
         _config(routing_iterations=0)
+
+
+_BAD_RATES = [
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("learning_rate", -1.0),
+    ("weight_decay", -1.0),
+    ("weight_decay", float("nan")),
+    ("temperature", float("nan")),
+    ("temperature", float("inf")),
+]
+
+
+@pytest.mark.parametrize("key, value", _BAD_RATES)
+def test_config_refuses_a_non_finite_or_negative_rate(key, value):
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", _BAD_RATES)
+def test_config_from_dict_refuses_a_bad_rate_with_a_checkpoint_error(key, value):
+    stored = json.loads(json.dumps(asdict(TrainConfig())))  # as a checkpoint stores it
+    stored[key] = value
+    with pytest.raises(CheckpointError, match=key):
+        TrainConfig.from_dict(stored)
 
 
 def test_config_dict_round_trip():
@@ -539,6 +568,73 @@ def test_train_leaves_no_thread_and_restores_blas_threads(train_subset, monkeypa
     if blas is not None:
         assert _blas_threads() == blas
         assert {count for _, count in seen} == {max(1, blas // 2)}
+
+
+# Median minor page faults per epoch over epochs 3-6, in a fresh process: the
+# settings are process-wide, and a thread that ended earlier in this process
+# leaves its glibc arena free for a later worker to take.
+_FAULT_PROBE = """
+import resource, statistics
+import numpy as np
+from ccaps.data import DatasetSplit
+from ccaps.train import TrainConfig, train
+images = np.random.default_rng(7).integers(0, 256, (64, 3, 32, 32), dtype=np.uint8)
+faults, last = [], [resource.getrusage(resource.RUSAGE_SELF).ru_minflt]
+def progress(row):
+    now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults.append(now - last[0])
+    last[0] = now
+train(TrainConfig(epochs=6, batch_size=64, seed=7), DatasetSplit(images, None, "train"), progress=progress)
+print(statistics.median(faults[2:]))
+"""
+FAULTS_PER_STEP_BOUND = 1000  # under 1 % of the ~110k pages a step allocates; 9-20k without the settings
+
+
+@pytest.mark.skipif(train_mod._glibc() is None, reason="the heap settings act on glibc only")
+def test_a_default_model_step_does_not_fault_its_memory_in_again():
+    src = str(Path(train_mod.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < FAULTS_PER_STEP_BOUND
+
+
+def test_train_without_glibc_writes_the_same_checkpoint_bytes(train_subset, tmp_path, monkeypatch):
+    train(_config(epochs=1), train_subset, checkpoint_dir=tmp_path / "set")
+    # a fresh once-per-process helper, so the real one keeps its state
+    monkeypatch.setattr(train_mod, "_keep_heap", functools.cache(train_mod._keep_heap.__wrapped__))
+    monkeypatch.setattr(train_mod, "_glibc", lambda: None)
+    train(_config(epochs=1), train_subset, checkpoint_dir=tmp_path / "unset")
+    assert (tmp_path / "unset" / "final.ckpt").read_bytes() == (tmp_path / "set" / "final.ckpt").read_bytes()
+
+
+def test_train_sets_the_heap_once_per_process_and_trims_once_per_call(train_subset, monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(
+        mallopt=lambda param, value: calls.append(("mallopt", param, value)),
+        malloc_trim=lambda pad: calls.append(("malloc_trim", pad)),
+    )
+    monkeypatch.setattr(train_mod, "_keep_heap", functools.cache(train_mod._keep_heap.__wrapped__))
+    monkeypatch.setattr(train_mod, "_glibc", lambda: libc)
+
+    def interrupt(row):
+        raise KeyboardInterrupt
+
+    train(_config(epochs=1), train_subset)
+    assert train(_config(epochs=2), train_subset, progress=interrupt).interrupted
+    assert calls == [
+        ("mallopt", train_mod._M_MMAP_THRESHOLD, 32 << 20),
+        ("mallopt", train_mod._M_TRIM_THRESHOLD, 1 << 30),
+        ("mallopt", train_mod._M_ARENA_MAX, 1),
+        ("malloc_trim", 0),
+        ("malloc_trim", 0),
+    ]
 
 
 def test_eval_hook_cadence(train_subset):
