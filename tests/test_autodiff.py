@@ -261,6 +261,39 @@ def test_batch_norm_float32_matches_mean_var_formula_bit_for_bit(training, chann
     assert _same_bits(unit.data, xhat)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels_last", [True, False])
+@pytest.mark.parametrize("channels", [1, 2, 7, 16, 128])
+def test_channel_sum_is_the_sum_over_batch_and_pixels_bit_for_bit(dtype, channels_last, channels):
+    rng = np.random.default_rng(channels)
+    a = (rng.normal(size=(9, 5, 6, channels)) * 3.0 + 1.5).astype(dtype).transpose(0, 3, 1, 2)
+    if not channels_last:
+        a = np.ascontiguousarray(a)
+    assert _same_bits(autodiff._channel_sum(a), a.sum(axis=(0, 2, 3)))
+
+
+def test_channel_sum_matches_sum_on_every_batch_norm_input_of_the_default_model(monkeypatch):
+    inputs = []
+    channel_sum = autodiff._channel_sum
+
+    def checked(a):
+        inputs.append((a.shape[1], a.strides[1] == a.itemsize))
+        got = channel_sum(a)
+        assert _same_bits(got, a.sum(axis=(0, 2, 3)))
+        return got
+
+    monkeypatch.setattr(autodiff, "_channel_sum", checked)
+    net = CapsuleNetwork(ModelConfig(), seed=0)
+    x = np.random.default_rng(9).normal(size=(64, 3, 32, 32)).astype(np.float32)
+    out = net.forward(x, "train", 3)
+    out.z.backward(np.random.default_rng(10).normal(size=out.z.shape).astype(np.float32))
+    # six sums per layer: mean, variance, and the backward's s1, s2, dgamma, dbeta
+    layers = len(net.config.conv_channels)
+    assert len(inputs) == 6 * layers
+    assert all(channels_last for _, channels_last in inputs)  # the einsum path, every call
+    assert sorted({c for c, _ in inputs}) == sorted(set(net.config.conv_channels))
+
+
 def test_relu_propagates_nan_and_masks_its_gradient():
     x = Tensor(np.array([-1.0, 0.0, 2.0, np.nan]), requires_grad=True)
     out = x.relu()

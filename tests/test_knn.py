@@ -351,6 +351,43 @@ def test_evaluate_counts_and_nesting(trained_state):
     assert result.top1 == round(100 * result.correct1 / 64, 2)
 
 
+def test_evaluate_ranks_each_chunk_as_weighted_knn_predict_does(monkeypatch):
+    from ccaps import knn
+
+    m, q = 3000, 2 * knn._QUERY_CHUNK + 77  # two full chunks and a part
+    rng = np.random.default_rng(31)
+    memory = DatasetSplit(np.zeros((m, 3, 32, 32), np.uint8), rng.integers(0, 10, size=m), "memory")
+    test = DatasetSplit(np.zeros((q, 3, 32, 32), np.uint8), rng.integers(0, 10, size=q), "test")
+    rows = {
+        id(memory): _unit_rows(m, 48, 32).astype(np.float32),  # inexact: GEMM order moves the bits
+        id(test): _unit_rows(q, 48, 33).astype(np.float32),
+    }
+    monkeypatch.setattr(knn, "extract_features", lambda net, split, stats: rows[id(split)])
+    ranked_chunks = []
+    rank = knn._rank
+
+    def recorded(*args):
+        ranked_chunks.append(rank(*args))
+        return ranked_chunks[-1]
+
+    monkeypatch.setattr(knn, "_rank", recorded)
+
+    cfg = EvalConfig(k=50, temperature=0.2)
+    result = evaluate(None, memory, test, None, cfg)
+    assert len(ranked_chunks) == 3
+    bank = FeatureBank(rows[id(memory)], memory.labels)
+    correct1 = correct5 = 0
+    for start, (scores, ranked) in zip(range(0, q, knn._QUERY_CHUNK), ranked_chunks):
+        chunk = slice(start, start + knn._QUERY_CHUNK)
+        want_scores, want_ranked = weighted_knn_predict(rows[id(test)][chunk], bank, cfg)
+        assert scores.tobytes() == want_scores.tobytes()
+        np.testing.assert_array_equal(ranked, want_ranked)
+        labels = test.labels[chunk]
+        correct1 += int(np.sum(want_ranked[:, 0] == labels))
+        correct5 += int(np.sum(np.any(want_ranked[:, :5] == labels[:, None], axis=1)))
+    assert (result.correct1, result.correct5, result.total) == (correct1, correct5, q)
+
+
 def test_evaluate_rejects_empty_or_unlabelled(trained_state):
     net, stats, split, test = trained_state
     with pytest.raises(ValueError, match="empty"):

@@ -570,6 +570,77 @@ def test_train_leaves_no_thread_and_restores_blas_threads(train_subset, monkeypa
         assert {count for _, count in seen} == {max(1, blas // 2)}
 
 
+def test_a_three_image_split_at_batch_two_trains_each_epoch_on_one_batch(train_subset):
+    steps = []
+    result = train(_config(epochs=3, batch_size=2), train_subset.take(3), progress=steps.append)
+    assert [row.epoch for row in steps] == [1, 2, 3]
+    assert result.checkpoint.meta["adam_steps"] == 3  # the single image left over is skipped
+
+
+def test_an_interrupt_with_the_next_views_in_flight_keeps_the_completed_epochs(
+    train_subset, tmp_path, monkeypatch
+):
+    threads = threading.active_count()
+    augment = train_mod._two_view_batch
+    started, release, finished = threading.Event(), threading.Event(), threading.Event()
+    in_flight = []
+
+    def held_epoch_3(step, config, stats):
+        if step[0] == 3:
+            started.set()
+            release.wait(10)  # held until epoch 2's progress has looked
+        views = augment(step, config, stats)
+        if step[0] == 3:
+            finished.set()
+        return views
+
+    def interrupt_at_epoch_2(row):
+        if row.epoch == 2:
+            in_flight.append(started.wait(10) and not finished.is_set())
+            release.set()
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(train_mod, "_two_view_batch", held_epoch_3)
+    stopped = tmp_path / "stopped"
+    result = train(
+        _config(epochs=5), train_subset, checkpoint_dir=stopped, metrics_path=stopped / "m.csv",
+        progress=interrupt_at_epoch_2,
+    )
+    assert in_flight == [True]  # epoch 3's views were in flight when progress raised
+    assert result.interrupted and finished.is_set()  # train waited for the views it discarded
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+
+    straight = tmp_path / "straight"
+    expected = train(_config(epochs=2), train_subset, checkpoint_dir=straight, metrics_path=straight / "m.csv")
+    got, want = result.checkpoint, expected.checkpoint
+    assert got.epoch == want.epoch == 2 and set(got.arrays) == set(want.arrays)
+    for name, array in want.arrays.items():
+        assert got.arrays[name].tobytes() == array.tobytes(), name
+    # the stored configs differ only in the operational epoch count
+    assert {k: v for k, v in got.meta.items() if k != "config"} == {
+        k: v for k, v in want.meta.items() if k != "config"
+    }
+    assert (stopped / "m.csv").read_bytes() == (straight / "m.csv").read_bytes()
+
+
+def test_an_augmentation_error_on_the_worker_is_raised_as_itself(train_subset, monkeypatch):
+    threads = threading.active_count()
+    augment = train_mod._two_view_batch
+    error = RuntimeError("augmentation failed")
+
+    def fail_at_epoch_2(step, config, stats):
+        if step[0] == 2:  # (epoch, batch index, batch)
+            raise error
+        return augment(step, config, stats)
+
+    monkeypatch.setattr(train_mod, "_two_view_batch", fail_at_epoch_2)
+    with pytest.raises(RuntimeError) as raised:
+        train(_config(epochs=3), train_subset)
+    assert raised.value is error
+    assert threading.active_count() == threads
+
+
 # Median minor page faults per epoch over epochs 3-6, in a fresh process: the
 # settings are process-wide, and a thread that ended earlier in this process
 # leaves its glibc arena free for a later worker to take.
