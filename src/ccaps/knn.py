@@ -8,28 +8,40 @@ weighting each neighbour by exp(similarity / temperature), and summing
 the weights per class. Ranked classes sort by descending score with ties
 broken by ascending class index.
 
-One GEMM gives a query batch's similarities. Each row's k largest are
-selected in place over blocks of 16 query rows, then sorted by bank index,
-so the float64 weights are summed in bank order and a score depends only
-on the neighbour set. Which of several rows tied at the k-th similarity
-is kept is unspecified.
+A query batch is scored over blocks of bank rows: as few as hold at most
+6,250 rows each, evened out, so the blocks depend on the bank size alone.
+Workers, one per OpenBLAS thread but no more than there are blocks (one
+where no OpenBLAS is loaded; see :mod:`ccaps.blas`), share the BLAS
+threads evenly: one each when there are at least as many blocks as BLAS
+threads. Each takes the next block, computes its similarities with one
+GEMM into its own block buffer, and
+keeps each query's k best rows of the block (all of a block shorter than
+k), selected in place over 16 query rows at a time. A merge then keeps
+each query's k best of these candidates, which lie in block order, so
+the neighbour set does not depend on the worker count. The neighbours
+are in bank order, so the float64 weights are summed in bank order and a
+score depends only on the neighbour set. Which of several rows tied at
+the k-th similarity is kept is unspecified.
 
 The bank is immutable after construction; queries run in fixed-size
 chunks so peak memory stays bounded at full dataset scale. A call holds
-the bank (50,000 x 2048 float32 rows ~ 410 MB, never copied), its
-[Q, M] float32 similarities, and per selection block one [16, M] index
-array: about 1.1x the similarity bytes. :func:`evaluate` computes every
-512-query chunk into one [512, M] buffer, so it allocates that block once.
+the bank (50,000 x 2048 float32 rows ~ 410 MB, never copied), one
+[Q, <= 6,250] similarity buffer per worker (26 MB for 512 queries on two
+workers, against 100 MB for a whole [512, 50,000] block), and k
+candidates per query and block.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
 
+from . import blas
 from .autodiff import l2_normalize, no_grad
 from .data import NUM_CLASSES, DatasetSplit, NormalizationStats, batch_iterator, standardize, to_unit_interval
 from .model import CapsuleNetwork
@@ -45,7 +57,8 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-5
-_QUERY_CHUNK = 512  # queries scored per similarity block in `evaluate`
+_QUERY_CHUNK = 512  # queries scored per call in `evaluate`
+_BANK_ROWS = 6_250  # most bank rows per similarity block
 _SELECT_ROWS = 16  # query rows per top-k selection block
 
 
@@ -144,20 +157,53 @@ def weighted_knn_predict(
     Returns (scores [Q, classes], ranked [Q, classes]); ranked[q, 0] is the
     top-1 prediction.
     """
-    return _rank(h @ bank.features.T, bank, cfg)
+    return _rank(h, bank, cfg)
 
 
-def _rank(sim: np.ndarray, bank: FeatureBank, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`weighted_knn_predict` from the queries' similarities `sim` [Q, M]."""
+def _rank(h: np.ndarray, bank: FeatureBank, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weighted_knn_predict`, over blocks of bank rows on up to one worker per BLAS thread."""
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
-    (q, m), k = sim.shape, cfg.k
-    top = np.empty((q, k), dtype=np.intp)
-    for lo in range(0, q, _SELECT_ROWS):
-        top[lo : lo + _SELECT_ROWS] = np.argpartition(sim[lo : lo + _SELECT_ROWS], m - k, axis=1)[:, m - k :]
-    top.sort(axis=1)  # bank order, so the sums below do not depend on the partition order
+    q, m, k = len(h), len(bank), cfg.k
+    # at most _BANK_ROWS rows a block, evened out: no narrow last block, whose
+    # GEMM OpenBLAS may run through another kernel with other rounding
+    count = -(-m // _BANK_ROWS)
+    edges = [m * b // count for b in range(count + 1)]
+    blocks = list(zip(edges, edges[1:]))
+    # each block's k best rows per query (all of a shorter block), in block order
+    starts = list(accumulate((min(k, hi - lo) for lo, hi in blocks), initial=0))
+    dtype = np.result_type(h, bank.features)
+    cand = np.empty((q, starts[-1]), dtype=np.intp)
+    cand_sim = np.empty((q, starts[-1]), dtype=dtype)
+    todo = iter(range(len(blocks)))  # shared; each next() is one C call under the GIL
+
+    def work(buffer: np.ndarray) -> None:
+        for b in todo:
+            (lo, hi), at = blocks[b], starts[b]
+            n = hi - lo
+            kept = starts[b + 1] - at
+            sim = np.matmul(h, bank.features[lo:hi].T, out=buffer[: q * n].reshape(q, n))
+            for r in range(0, q, _SELECT_ROWS):
+                rows = sim[r : r + _SELECT_ROWS]
+                best = np.argpartition(rows, n - kept, axis=1)[:, n - kept :]
+                best.sort(axis=1)  # bank order, so the candidates are too
+                cand_sim[r : r + _SELECT_ROWS, at : at + kept] = np.take_along_axis(rows, best, axis=1)
+                cand[r : r + _SELECT_ROWS, at : at + kept] = best + lo
+
+    workers = min(blas.thread_count(), len(blocks))
+    with blas.split(workers), ThreadPoolExecutor(max(1, workers - 1), "ccaps-knn") as pool:
+        buffers = np.empty((workers, q * max(hi - lo for lo, hi in blocks)), dtype=dtype)
+        helpers = [pool.submit(work, buffer) for buffer in buffers[1:]]
+        work(buffers[0])
+        for helper in helpers:
+            helper.result()
+
+    width = cand.shape[1]
+    keep = np.argpartition(cand_sim, width - k, axis=1)[:, width - k :]
+    keep.sort(axis=1)  # bank order, so the sums below do not depend on the partition order
+    top = np.take_along_axis(cand, keep, axis=1)
     # float64 keeps exp(1/temperature) finite for any positive temperature
-    weights = np.exp(np.take_along_axis(sim, top, axis=1).astype(np.float64) / cfg.temperature)
+    weights = np.exp(np.take_along_axis(cand_sim, keep, axis=1).astype(np.float64) / cfg.temperature)
     classes = cfg.class_count
     slots = np.arange(q)[:, None] * classes + bank.labels[top]
     scores = np.bincount(slots.ravel(), weights.ravel(), minlength=q * classes).reshape(q, classes)
@@ -182,15 +228,12 @@ def evaluate(
     _require_unit_rows(queries, "query")
     labels = np.asarray(test_split.labels)
 
-    # one similarity buffer for every chunk, so no chunk faults in a fresh one
-    buffer = np.empty((min(len(queries), _QUERY_CHUNK), len(bank)), np.result_type(queries, bank.features))
     correct1 = 0
     correct5 = 0
     for start in range(0, len(queries), _QUERY_CHUNK):
         chunk = queries[start : start + _QUERY_CHUNK]
         chunk_labels = labels[start : start + len(chunk)]
-        sim = np.matmul(chunk, bank.features.T, out=buffer[: len(chunk)])
-        _, ranked = _rank(sim, bank, cfg)
+        _, ranked = _rank(chunk, bank, cfg)
         correct1 += int(np.sum(ranked[:, 0] == chunk_labels))
         correct5 += int(np.sum(np.any(ranked[:, :5] == chunk_labels[:, None], axis=1)))
 

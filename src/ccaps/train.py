@@ -13,7 +13,7 @@ starts.
 The views share no work until the loss, and most of a view is
 single-threaded numpy, so the two threads overlap. While both run, each
 view's BLAS calls get half of the process's OpenBLAS threads (at least
-one), set through ``ctypes`` and restored after every step; where no
+one) through :func:`ccaps.blas.split`, restored after every step; where no
 OpenBLAS is loaded the threads run unpinned. The worker lives only as long
 as the :func:`train` call. Each parameter gets exactly one gradient from
 each view, and the calling thread adds the two (``a + b == b + a`` in IEEE
@@ -33,7 +33,7 @@ alone updates them, view j's pass runs with updates frozen and, in train
 mode, never reads them.
 
 Process-wide allocator settings: on glibc, the first :func:`train` call
-sets, for the rest of the process's life, a 32 MiB mmap threshold, a 1 GiB
+sets, for the rest of the process's life, a 256 MiB mmap threshold, a 1 GiB
 trim threshold and one malloc arena. With glibc's defaults the graph a step
 frees while ``backward`` walks it went back to the kernel, and the next
 step faulted it in again: 9-20k pages and 55-90 ms of system time per
@@ -51,7 +51,6 @@ byte-reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
 import functools
@@ -64,6 +63,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import blas
 from .augment import AugmentConfig, two_view_batch
 from .autodiff import Tensor, concat
 from .checkpoint import CheckpointError, config_hash, save_checkpoint, write_atomic
@@ -296,27 +296,6 @@ def _two_view_batch(step, config: TrainConfig, stats: NormalizationStats):
     return standardize(views, stats)
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the loaded OpenBLAS library's thread count, or None."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
-    except OSError:
-        return None
-    for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
-    return None
-
-
 def _glibc():
     """The process's C library if it is glibc (it has ``mallopt`` and ``malloc_trim``), or None."""
     try:
@@ -329,6 +308,11 @@ def _glibc():
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc <malloc.h>
+# Above the largest array a step allocates: the default model's votes and
+# routing arrays at the paper's batch of 512 take 168 MB each (42 MB at
+# batch 128, beside Conv2d-3's 37.7 MB im2col block). Arrays at or above the
+# threshold are mmapped and faulted in again on every step.
+_MMAP_THRESHOLD = 256 << 20
 
 
 @functools.cache
@@ -340,25 +324,9 @@ def _keep_heap():
     """
     libc = _glibc()
     if libc is not None:
-        for param, value in ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1)):
+        for param, value in ((_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1)):
             libc.mallopt(param, value)
     return libc
-
-
-@contextlib.contextmanager
-def _blas_split():
-    """Half the OpenBLAS threads, at least one, for each of two concurrent views."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(max(1, before // 2))
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def _on_two_threads(pool: ThreadPoolExecutor, here, there):
@@ -396,7 +364,7 @@ def _train_step(
     view_i, view_j = views
     twin = net.twin()
     iterations = config.routing_iterations
-    with _blas_split():
+    with blas.split(2):
         out_i, out_j = _on_two_threads(
             pool,
             lambda: net.forward(view_i, "train", iterations, update_running=True),

@@ -1,10 +1,14 @@
 """Weighted kNN voting against brute-force oracles and chance-level banks."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccaps import blas, knn
 from ccaps.data import DatasetSplit, load_cifar10_binary
 from ccaps.knn import (
     EvalConfig,
@@ -111,6 +115,136 @@ def test_duplicate_rows_tied_at_the_kth_place_still_give_a_top_k():
     np.testing.assert_array_equal(ranked, np.argsort(-scores, axis=1, kind="stable"))
 
 
+def _fake_blas(monkeypatch, threads):
+    """Make the scorer see `threads` OpenBLAS threads, or no OpenBLAS for None;
+    returns the counts it sets, in order."""
+    count, sets = [threads], []
+    if threads is None:
+        monkeypatch.setattr(blas, "openblas_threads", lambda: None)
+        return sets
+
+    def put(n):
+        sets.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(blas, "openblas_threads", lambda: (lambda: count[0], put))
+    return sets
+
+
+def _float32_reference(h, bank, cfg):
+    """The scorer's arithmetic without blocks: one GEMM over the whole bank,
+    a stable top-k, neighbours in bank order, float64 bincount scores."""
+    sims = h @ bank.features.T
+    nearest = np.sort(np.argsort(-sims, axis=1, kind="stable")[:, : cfg.k], axis=1)
+    weights = np.exp(np.take_along_axis(sims, nearest, axis=1).astype(np.float64) / cfg.temperature)
+    slots = np.arange(len(h))[:, None] * cfg.class_count + bank.labels[nearest]
+    scores = np.bincount(slots.ravel(), weights.ravel(), minlength=len(h) * cfg.class_count)
+    scores = scores.reshape(len(h), cfg.class_count)
+    return scores, np.argsort(-scores, axis=1, kind="stable"), sims
+
+
+@pytest.mark.parametrize("rows", [7, 64, 300])
+def test_worker_count_and_block_size_leave_the_scores_alone(monkeypatch, rows):
+    m, k = 300, 50
+    bank = FeatureBank(_unit_rows(m, 48, 40).astype(np.float32), np.random.default_rng(41).integers(0, 10, size=m))
+    h = _unit_rows(40, 48, 42).astype(np.float32)  # inexact: the GEMM's rounding shows
+    cfg = EvalConfig(k=k)
+    want_scores, want_ranked, sims = _float32_reference(h, bank, cfg)
+    ordered = np.sort(sims, axis=1)
+    assert np.all(ordered[:, -k] > ordered[:, -k - 1])  # no tie at the k-th place
+    monkeypatch.setattr(knn, "_BANK_ROWS", rows)
+    blocks = -(-m // rows)
+    got = []
+    for threads in (1, 2):
+        sets = _fake_blas(monkeypatch, threads)
+        got.append(weighted_knn_predict(h, bank, cfg))
+        workers = min(threads, blocks)
+        assert sets == [threads // workers, threads]
+    (scores, ranked), (scores2, ranked2) = got
+    assert scores.tobytes() == scores2.tobytes() and ranked.tobytes() == ranked2.tobytes()
+    np.testing.assert_array_equal(ranked, want_ranked)
+    if rows == 7:
+        # OpenBLAS multiplies products this narrow through another kernel,
+        # whose similarities differ from the whole-bank GEMM's in the last bits
+        # (each dot product within 48 float32 roundings, scaled by 1/temperature)
+        np.testing.assert_allclose(scores, want_scores, rtol=48 * np.finfo(np.float32).eps / cfg.temperature)
+    else:
+        assert scores.tobytes() == want_scores.tobytes()
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2])
+@pytest.mark.parametrize(("m", "rows", "k"), [(69, 32, 30), (19, 10, 10), (64, 7, 64), (64, 16, 1)])
+def test_blocks_narrower_than_k_keep_all_their_rows(monkeypatch, threads, m, rows, k):
+    # (19, 10, 10): blocks of 9 and 10 rows; (69, 32, 30): three of 23
+    bank = FeatureBank(_exact_rows(m, 43), np.random.default_rng(44).integers(0, 10, size=m))
+    h = _exact_rows(20, 45)
+    cfg = EvalConfig(k=k)
+    want_scores, want_ranked, tied = _exact_reference(h, bank, cfg)
+    assert not tied.any()
+    monkeypatch.setattr(knn, "_BANK_ROWS", rows)
+    _fake_blas(monkeypatch, threads)
+    scores, ranked = weighted_knn_predict(h, bank, cfg)
+    np.testing.assert_array_equal(scores, want_scores)
+    np.testing.assert_array_equal(ranked, want_ranked)
+
+
+def test_eight_workers_switching_often_give_the_one_worker_bits(monkeypatch):
+    bank = FeatureBank(_unit_rows(1000, 16, 53).astype(np.float32), np.arange(1000) % 10)
+    h = _unit_rows(24, 16, 54).astype(np.float32)
+    cfg = EvalConfig(k=20)
+    monkeypatch.setattr(knn, "_BANK_ROWS", 16)  # 63 blocks
+    _fake_blas(monkeypatch, 1)
+    want_scores, want_ranked = weighted_knn_predict(h, bank, cfg)
+    _fake_blas(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            scores, ranked = weighted_knn_predict(h, bank, cfg)
+            assert scores.tobytes() == want_scores.tobytes() and ranked.tobytes() == want_ranked.tobytes()
+        assert time.perf_counter() - start < 30
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_a_failing_worker_restores_the_blas_threads_and_leaves_no_thread(monkeypatch, failing):
+    bank = FeatureBank(_unit_rows(64, 16, 46).astype(np.float32), np.arange(64) % 10)
+    h = _unit_rows(8, 16, 47).astype(np.float32)
+    monkeypatch.setattr(knn, "_BANK_ROWS", 16)
+    sets = _fake_blas(monkeypatch, 2)
+    threads = threading.active_count()
+    matmul, both_started, started = np.matmul, threading.Barrier(2, timeout=10), set()
+
+    def one_worker_fails(*args, **kwargs):
+        me = threading.current_thread()
+        if me not in started:  # each worker's first block waits for the other's
+            started.add(me)
+            both_started.wait()
+        if (me is threading.main_thread()) == (failing == "caller"):
+            raise RuntimeError(f"{failing} failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", one_worker_fails)
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        weighted_knn_predict(h, bank, EvalConfig(k=4))
+    assert len(started) == 2
+    assert sets == [1, 2]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(blas.openblas_threads() is None, reason="needs a loaded OpenBLAS")
+def test_a_call_gives_the_real_openblas_its_thread_count_back():
+    before = blas.thread_count()
+    bank = FeatureBank(_unit_rows(3 * knn._BANK_ROWS, 8, 48).astype(np.float32), np.arange(3 * knn._BANK_ROWS) % 10)
+    weighted_knn_predict(_unit_rows(4, 8, 49).astype(np.float32), bank, EvalConfig(k=5))
+    assert blas.thread_count() == before
+    with pytest.raises(ValueError):  # the queries' width does not match the bank's
+        weighted_knn_predict(_unit_rows(4, 9, 50).astype(np.float32), bank, EvalConfig(k=5))
+    assert blas.thread_count() == before
+
+
 def _traced_peak(fn) -> int:
     """Peak bytes that numpy and Python allocate while `fn` runs."""
     tracemalloc.start()
@@ -128,6 +262,17 @@ def test_knn_call_allocates_little_beyond_the_similarity_block():
     sim_bytes = 512 * 20_000 * 4
     peak = _traced_peak(lambda: weighted_knn_predict(h, bank, EvalConfig()))
     assert peak <= 1.25 * sim_bytes, peak / sim_bytes
+
+
+def test_similarities_take_a_block_per_worker_not_the_whole_bank(monkeypatch):
+    m, q = 50_000, 512
+    bank = FeatureBank(_unit_rows(m, 16, 51).astype(np.float32), np.arange(m) % 10)
+    h = _unit_rows(q, 16, 52).astype(np.float32)
+    _fake_blas(monkeypatch, 2)
+    peak = _traced_peak(lambda: weighted_knn_predict(h, bank, EvalConfig()))
+    # two [512, 6,250] buffers and 8 x 200 candidates a query: ~43 MB, where
+    # one [512, 50,000] similarity block alone is 102 MB
+    assert peak <= 0.5 * q * m * 4, peak / (q * m * 4)
 
 
 def test_bank_check_copies_nothing_the_size_of_the_bank():

@@ -4,6 +4,7 @@ threaded step against the sequential oracle in step_reference.py."""
 import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import ccaps.train as train_mod
+from ccaps import blas
 from ccaps.augment import AugmentConfig
 from ccaps.autodiff import Tensor
 from ccaps.checkpoint import CheckpointError, canonical_json
@@ -531,21 +533,16 @@ def test_threaded_step_replays_the_sequential_step_on_the_default_model(small_da
     _assert_replays_sequential(TrainConfig(epochs=1, batch_size=64, seed=5), split.take(128))
 
 
-def _blas_threads():
-    blas = train_mod._openblas_threads()
-    return None if blas is None else blas[0]()
-
-
 @pytest.mark.parametrize("way_out", ["return", "worker error", "interrupt"])
 def test_train_leaves_no_thread_and_restores_blas_threads(train_subset, monkeypatch, way_out):
-    threads, blas = threading.active_count(), _blas_threads()
+    threads, before = threading.active_count(), blas.thread_count()
     forward = CapsuleNetwork.forward
     seen = []  # (thread is the main thread, BLAS threads) at each view's forward
     error = TrainingError("view j failed")
 
     def watched(self, *args, **kwargs):
         on_main = threading.current_thread() is threading.main_thread()
-        seen.append((on_main, _blas_threads()))
+        seen.append((on_main, blas.thread_count()))
         if way_out == "worker error" and not on_main:
             raise error
         return forward(self, *args, **kwargs)
@@ -565,9 +562,8 @@ def test_train_leaves_no_thread_and_restores_blas_threads(train_subset, monkeypa
         assert result.interrupted == (way_out == "interrupt")
     assert threading.active_count() == threads
     assert {on_main for on_main, _ in seen} == {True, False}  # one view on each thread
-    if blas is not None:
-        assert _blas_threads() == blas
-        assert {count for _, count in seen} == {max(1, blas // 2)}
+    assert blas.thread_count() == before
+    assert {count for _, count in seen} == {max(1, before // 2)}
 
 
 def test_a_three_image_split_at_batch_two_trains_each_epoch_on_one_batch(train_subset):
@@ -676,6 +672,21 @@ def test_a_default_model_step_does_not_fault_its_memory_in_again():
     assert float(proc.stdout) < FAULTS_PER_STEP_BOUND
 
 
+@pytest.mark.skipif(train_mod._glibc() is None, reason="the heap settings act on glibc only")
+def test_the_kept_heap_reuses_the_largest_array_of_a_paper_scale_step():
+    libc = train_mod._keep_heap()
+    model = ModelConfig()
+    votes = 512 * model.num_primary_capsules * model.embedding_dim  # float32 votes at batch 512
+    faults = []
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        np.ones(votes, np.float32)  # allocated, written and freed
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    libc.malloc_trim(0)
+    # mmapped (above the threshold), the second array is faulted in again page by page
+    assert faults[1] <= 16, faults
+
+
 def test_train_without_glibc_writes_the_same_checkpoint_bytes(train_subset, tmp_path, monkeypatch):
     train(_config(epochs=1), train_subset, checkpoint_dir=tmp_path / "set")
     # a fresh once-per-process helper, so the real one keeps its state
@@ -700,7 +711,7 @@ def test_train_sets_the_heap_once_per_process_and_trims_once_per_call(train_subs
     train(_config(epochs=1), train_subset)
     assert train(_config(epochs=2), train_subset, progress=interrupt).interrupted
     assert calls == [
-        ("mallopt", train_mod._M_MMAP_THRESHOLD, 32 << 20),
+        ("mallopt", train_mod._M_MMAP_THRESHOLD, 256 << 20),
         ("mallopt", train_mod._M_TRIM_THRESHOLD, 1 << 30),
         ("mallopt", train_mod._M_ARENA_MAX, 1),
         ("malloc_trim", 0),
