@@ -413,35 +413,35 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     return _node(out, (u, weight), bw)
 
 
-def routing_by_agreement(
-    u_hat: Tensor, iterations: int
-) -> tuple[Tensor, np.ndarray, tuple[np.ndarray, ...]]:
+def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Dynamic routing over votes [B, M, P, D] as one node.
 
-    Returns the parent poses y [B, P, D], the final logits [B, M, P] and
-    the couplings of every iteration (each [B, M, P], softmax over P); the
-    logits and couplings are plain arrays. Logits start at zero. The votes
-    are transposed once to [B, P, M, D], so each iteration is a softmax
-    and two batched matmuls: s = c @ u, then squash, then agreement u @ y.
+    Returns the parent poses y [B, P, D] and the couplings of every
+    iteration, each a [B, M, P] view (softmax over P) of an array the
+    backward keeps anyway; read them, do not write them. Logits start at
+    zero. The votes are transposed once to [B, P, M, D], so each iteration
+    is a softmax and two batched matmuls: s = c @ u, then squash; between
+    two iterations the agreement u @ y raises the logits. That is T - 1
+    agreement updates: the last poses feed none.
 
     The backward runs through every iteration from the stored c, s and y.
-    With db = dL/d(logits after iteration t), walking t = T..1:
+    With db = dL/d b_t, where c_{t+1} = softmax(b_t), walking t = T..1:
     dy_t = db @ u, ds_t = squash'(s_t) dy_t, dc_t = u @ ds_t, and
     db += c_t * (dc_t - sum_p c_t * dc_t). At t = T, dy_T is the output
-    gradient and db is zero: the last agreement only feeds the detached
-    logits. The vote gradient sum_t c_t (x) ds_t + db_t (x) y_t is a
-    single batched GEMM.
+    gradient and db is zero. The vote gradient
+    sum_t c_t (x) ds_t + db_t (x) y_t is a single batched GEMM.
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
     u = np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3))
     b = np.zeros(u.shape[:3], dtype=u.dtype)
     cs, ss, ys = [], [], []
-    for _ in range(iterations):
+    for t in range(iterations):
+        if t:
+            b += np.matmul(u, y[..., None])[..., 0]
         c = _softmax(b, axis=1)
         s = np.matmul(c[:, :, None, :], u)[:, :, 0]
         y = _squash(s)
-        b += np.matmul(u, y[..., None])[..., 0]
         cs.append(c)
         ss.append(s)
         ys.append(y)
@@ -468,6 +468,4 @@ def routing_by_agreement(
         np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
         return (du,)
 
-    out = _node(y, (u_hat,), bw)
-    history = tuple(np.ascontiguousarray(c.transpose(0, 2, 1)) for c in cs)
-    return out, np.ascontiguousarray(b.transpose(0, 2, 1)), history
+    return _node(y, (u_hat,), bw), tuple(c.transpose(0, 2, 1) for c in cs)

@@ -31,6 +31,15 @@ class DataError(Exception):
     """Malformed or missing dataset files."""
 
 
+def check_labels(labels, what: str) -> None:
+    """Raise ValueError unless `labels` is a 1-D integer array of class
+    indices in [0, NUM_CLASSES): the only labels kNN scoring can count."""
+    if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ValueError(f"{what} labels must be a 1-D integer array")
+    if len(labels) and (labels.min() < 0 or labels.max() >= NUM_CLASSES):
+        raise ValueError(f"{what} labels out of range [0, {NUM_CLASSES})")
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel mean and standard deviation of pixel values in [0, 1]."""
@@ -58,17 +67,16 @@ class DatasetSplit:
     """
 
     images: np.ndarray  # uint8 [N, 3, 32, 32]
-    labels: np.ndarray | None  # [N] class indices, or None
+    labels: np.ndarray | None  # [N] integer class indices, or None
     split_kind: str  # train | memory | test
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[1:] != IMAGE_SHAPE:
             raise ValueError(f"images must be [N, 3, 32, 32], got {self.images.shape}")
         if self.labels is not None:
+            check_labels(self.labels, "split")
             if len(self.labels) != len(self.images):
                 raise ValueError("labels and images disagree on record count")
-            if len(self.labels) and self.labels.max() >= NUM_CLASSES:
-                raise ValueError("label out of range")
         if self.split_kind not in ("train", "memory", "test"):
             raise ValueError(f"unknown split kind {self.split_kind!r}")
 

@@ -43,7 +43,9 @@ import numpy as np
 
 from . import blas
 from .autodiff import l2_normalize, no_grad
-from .data import NUM_CLASSES, DatasetSplit, NormalizationStats, batch_iterator, standardize, to_unit_interval
+from .data import (
+    NUM_CLASSES, DatasetSplit, NormalizationStats, batch_iterator, check_labels, standardize, to_unit_interval,
+)
 from .model import CapsuleNetwork
 
 __all__ = [
@@ -91,16 +93,12 @@ class FeatureBank:
     labels: np.ndarray  # [M] integer class indices
 
     def __post_init__(self):
-        labels = self.labels
-        if not isinstance(labels, np.ndarray) or labels.ndim != 1 or labels.dtype.kind not in "iu":
-            raise ValueError("bank labels must be a 1-D integer array")
-        if self.features.ndim != 2 or len(self.features) != len(labels):
+        check_labels(self.labels, "bank")
+        if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ValueError("features and labels must align")
         if len(self.features) == 0:
             raise ValueError("feature bank is empty")
         _require_unit_rows(self.features, "bank")
-        if labels.min() < 0 or labels.max() >= NUM_CLASSES:
-            raise ValueError("bank labels out of range")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -155,13 +153,9 @@ def weighted_knn_predict(
     """Class scores and ranked labels for a batch of queries `h` [Q, D].
 
     Returns (scores [Q, classes], ranked [Q, classes]); ranked[q, 0] is the
-    top-1 prediction.
+    top-1 prediction. Scored over blocks of bank rows on up to one worker
+    per BLAS thread.
     """
-    return _rank(h, bank, cfg)
-
-
-def _rank(h: np.ndarray, bank: FeatureBank, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`weighted_knn_predict`, over blocks of bank rows on up to one worker per BLAS thread."""
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
     q, m, k = len(h), len(bank), cfg.k
@@ -233,7 +227,7 @@ def evaluate(
     for start in range(0, len(queries), _QUERY_CHUNK):
         chunk = queries[start : start + _QUERY_CHUNK]
         chunk_labels = labels[start : start + len(chunk)]
-        _, ranked = _rank(chunk, bank, cfg)
+        _, ranked = weighted_knn_predict(chunk, bank, cfg)
         correct1 += int(np.sum(ranked[:, 0] == chunk_labels))
         correct5 += int(np.sum(np.any(ranked[:, :5] == chunk_labels[:, None], axis=1)))
 

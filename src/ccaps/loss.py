@@ -13,6 +13,8 @@ hand-derived gradient reuses the softmax terms of the forward pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor, _node
@@ -25,8 +27,8 @@ def nt_xent_op(z: Tensor, tau: float) -> Tensor:
     it up to float32 rounding); only the structure and the temperature
     are checked.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError(f"temperature must be positive and finite, got {tau!r}")
     if z.ndim != 2 or len(z.data) < 2 or len(z.data) % 2 != 0:
         raise ValueError(f"embeddings must be [2N, D] with N >= 1, got {z.shape}")
     n2 = len(z.data)

@@ -41,7 +41,6 @@ from .rngstream import INIT_STREAM, stream_rng
 
 __all__ = [
     "ModelConfig",
-    "RoutingState",
     "ForwardOutput",
     "CapsuleNetwork",
     "dynamic_routing",
@@ -127,40 +126,15 @@ class ModelConfig:
 
 
 @dataclass
-class RoutingState:
-    """Final routing-by-agreement state (plain arrays, detached).
-
-    `couplings` are the coefficients that produced the returned parent
-    poses; `coupling_history` holds the coefficients of every iteration so
-    invariants can be checked per step.
-    """
-
-    logits: np.ndarray  # b, [B, children, parents]
-    couplings: np.ndarray  # c of the final iteration, same shape
-    coupling_history: tuple[np.ndarray, ...] = ()
-
-
-@dataclass
 class ForwardOutput:
     h: Tensor  # [B, feature_dim], unit rows
-    y: Tensor  # [B, num_classes, class_capsule_dim]
     z: Tensor  # [B, embedding_dim], unit rows
-    routing: RoutingState
 
 
-def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, RoutingState]:
-    """Routing by agreement over votes [B, children, parents, dim].
-
-    Logits start at zero on every call. Each iteration takes the softmax
-    over the parent axis (each child distributes its output across
-    parents), forms coupling-weighted vote sums, squashes them into parent
-    poses, and raises the logit of every child-parent pair whose vote
-    agrees with the parent pose. All iterations run as one
-    :func:`~ccaps.autodiff.routing_by_agreement` node, whose hand-derived
-    backward carries gradients through every iteration.
-    """
-    y, logits, history = routing_by_agreement(u_hat, iterations)
-    return y, RoutingState(logits=logits, couplings=history[-1], coupling_history=history)
+def dynamic_routing(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+    """:func:`~ccaps.autodiff.routing_by_agreement`, under the name the
+    benchmark's step replica calls; nothing in the package calls it."""
+    return routing_by_agreement(u_hat, iterations)
 
 
 def _state_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -313,14 +287,14 @@ class CapsuleNetwork:
         )
         return squash(u, axis=-1)
 
-    def class_caps(self, u: Tensor, routing_iterations: int) -> tuple[Tensor, RoutingState]:
+    def class_caps(self, u: Tensor, routing_iterations: int) -> Tensor:
         """Child poses [B, M, D] -> class capsules [B, classes, class_dim].
 
         Votes come from one batched GEMM (:func:`capsule_votes`); routing
-        is the single fused node behind :func:`dynamic_routing`.
+        is the single fused node :func:`routing_by_agreement`.
         """
         u_hat = capsule_votes(u, self.params["class_caps.weight"])
-        return dynamic_routing(u_hat, routing_iterations)
+        return routing_by_agreement(u_hat, routing_iterations)[0]
 
     def forward(
         self,
@@ -333,6 +307,6 @@ class CapsuleNetwork:
         batch = feature_map.shape[0]
         h = l2_normalize(feature_map.reshape(batch, self.config.feature_dim), axis=1)
         u = self.primary_caps(feature_map)
-        y, state = self.class_caps(u, routing_iterations)
+        y = self.class_caps(u, routing_iterations)
         z = l2_normalize(y.reshape(batch, self.config.embedding_dim), axis=1)
-        return ForwardOutput(h=h, y=y, z=z, routing=state)
+        return ForwardOutput(h=h, z=z)

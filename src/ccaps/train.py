@@ -66,7 +66,7 @@ import numpy as np
 from . import blas
 from .augment import AugmentConfig, two_view_batch
 from .autodiff import Tensor, concat
-from .checkpoint import CheckpointError, config_hash, save_checkpoint, write_atomic
+from .checkpoint import CheckpointError, config_hash, load_checkpoint, save_checkpoint, write_atomic
 from .data import (
     DatasetSplit,
     NormalizationStats,
@@ -206,8 +206,6 @@ class CheckpointRecord:
 
     @classmethod
     def load(cls, path) -> "CheckpointRecord":
-        from .checkpoint import load_checkpoint
-
         arrays, meta = load_checkpoint(path)
         return cls(arrays=arrays, meta=meta)
 

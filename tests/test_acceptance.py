@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccaps.autodiff import Tensor, concat, squash
+from ccaps.autodiff import Tensor, concat, routing_by_agreement, squash
 from ccaps.cli import main
 from ccaps.data import compute_normalization_stats, load_cifar10_binary
 from ccaps.knn import EvalConfig, FeatureBank, evaluate, weighted_knn_predict
 from ccaps.loss import nt_xent_op
-from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
+from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.profiler import (
     PUBLISHED_CONVBLOCK_PARAMS,
     PUBLISHED_FLOPS_TOTAL,
@@ -116,29 +116,31 @@ def test_c4_routing_suite():
 
     # simplex after every iteration, realistic size
     u_hat = Tensor(rng.normal(size=(2, 64, 10, 16)))
-    _, state = dynamic_routing(u_hat, 4)
-    for c in state.coupling_history:
+    _, couplings = routing_by_agreement(u_hat, 4)
+    for c in couplings:
         assert np.all(c >= 0)
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-10)
 
     # uniform couplings at a single iteration
-    _, one = dynamic_routing(Tensor(rng.normal(size=(3, 5, 10, 8))), 1)
-    np.testing.assert_allclose(one.couplings, 0.1, atol=1e-12)
+    _, (one,) = routing_by_agreement(Tensor(rng.normal(size=(3, 5, 10, 8))), 1)
+    np.testing.assert_allclose(one, 0.1, atol=1e-12)
 
     # parent-permutation equivariance
     votes = rng.normal(size=(2, 6, 5, 4))
     perm = rng.permutation(5)
-    y, st = dynamic_routing(Tensor(votes), 3)
-    yp, stp = dynamic_routing(Tensor(votes[:, :, perm, :]), 3)
+    y, cs = routing_by_agreement(Tensor(votes), 3)
+    yp, cs_p = routing_by_agreement(Tensor(votes[:, :, perm, :]), 3)
     np.testing.assert_allclose(yp.data, y.data[:, perm, :], atol=1e-12)
-    np.testing.assert_allclose(stp.logits, st.logits[:, :, perm], atol=1e-12)
+    for cp, c in zip(cs_p, cs, strict=True):
+        np.testing.assert_allclose(cp, c[:, :, perm], atol=1e-12)
 
     # toy-size equivalence with the Procedure 1 reference
     toy = rng.normal(size=(4, 3, 5))  # 4 children, 3 parents
-    y_toy, st_toy = dynamic_routing(Tensor(toy[None]), 3)
-    y_ref, b_ref, _ = reference_routing(toy[None], 3)
+    y_toy, cs_toy = routing_by_agreement(Tensor(toy[None]), 3)
+    y_ref, _, cs_ref = reference_routing(toy[None], 3)
     np.testing.assert_allclose(y_toy.data, y_ref, atol=1e-10)
-    np.testing.assert_allclose(st_toy.logits, b_ref, atol=1e-10)
+    for c, ref_c in zip(cs_toy, cs_ref, strict=True):
+        np.testing.assert_allclose(c, ref_c, atol=1e-10)
     _verdict("C4", "simplex per iteration, uniform at one iteration, equivariance, toy oracle to 1e-10")
 
 

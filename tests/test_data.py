@@ -89,6 +89,24 @@ def test_take_keeps_file_order_and_rejects_a_negative_count():
         split.take(-1)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.array([0, -1, 2]), "out of range"),
+        (np.array([0, NUM_CLASSES, 2]), "out of range"),
+        (np.array([0.0, 1.0, 2.0]), "1-D integer array"),
+        (np.array([True, False, True]), "1-D integer array"),
+        (np.array([[0], [1], [2]]), "1-D integer array"),
+    ],
+    ids=["negative", "too-large", "float", "bool", "column"],
+)
+def test_split_refuses_labels_knn_cannot_score(labels, message):
+    # a -1 would count as a miss, and [N, 1] labels broadcast the top-1
+    # comparison into [N, N]; the kNN bank applies the same rule
+    with pytest.raises(ValueError, match=message):
+        DatasetSplit(np.zeros((3, 3, 32, 32), np.uint8), labels, "test")
+
+
 # -- normalization -----------------------------------------------------------
 
 

@@ -509,13 +509,13 @@ def test_evaluate_ranks_each_chunk_as_weighted_knn_predict_does(monkeypatch):
     }
     monkeypatch.setattr(knn, "extract_features", lambda net, split, stats: rows[id(split)])
     ranked_chunks = []
-    rank = knn._rank
+    rank = knn.weighted_knn_predict
 
     def recorded(*args):
         ranked_chunks.append(rank(*args))
         return ranked_chunks[-1]
 
-    monkeypatch.setattr(knn, "_rank", recorded)
+    monkeypatch.setattr(knn, "weighted_knn_predict", recorded)
 
     cfg = EvalConfig(k=50, temperature=0.2)
     result = evaluate(None, memory, test, None, cfg)

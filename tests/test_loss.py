@@ -194,10 +194,10 @@ def test_nt_xent_op_records_no_node_under_no_grad():
 
 
 def test_nt_xent_op_validates_inputs():
-    with pytest.raises(ValueError, match="temperature"):
-        nt_xent_op(Tensor(_unit_rows(4, 3)), tau=-1.0)
-    with pytest.raises(ValueError, match="temperature"):
-        nt_xent_op(Tensor(_unit_rows(4, 3)), tau=0.0)
+    # a NaN temperature made a NaN loss, and inf a finite one, log(2N - 1)
+    for tau in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            nt_xent_op(Tensor(_unit_rows(4, 3)), tau=tau)
     with pytest.raises(ValueError, match=r"\[2N, D\]"):
         nt_xent_op(Tensor(_unit_rows(3, 3)), tau=0.2)
     with pytest.raises(ValueError, match=r"\[2N, D\]"):

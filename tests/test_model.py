@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccaps.autodiff import Tensor, capsule_votes, conv2d, squash
+from ccaps.autodiff import Tensor, capsule_votes, conv2d, routing_by_agreement, squash
 from ccaps.checkpoint import canonical_json
-from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
+from ccaps.model import CapsuleNetwork, ModelConfig
 from routing_reference import reference_routing
 
 TINY = ModelConfig(
@@ -132,31 +132,31 @@ def test_votes_match_triple_loop_oracle():
 
 def test_routing_rejects_zero_iterations():
     with pytest.raises(ValueError):
-        dynamic_routing(Tensor(np.zeros((1, 2, 3, 4))), 0)
+        routing_by_agreement(Tensor(np.zeros((1, 2, 3, 4))), 0)
 
 
 def test_single_iteration_couplings_are_uniform():
     rng = np.random.default_rng(4)
     u_hat = Tensor(rng.normal(size=(2, 8, 10, 6)))
-    _, state = dynamic_routing(u_hat, 1)
-    np.testing.assert_allclose(state.couplings, 0.1, atol=1e-12)
+    _, (couplings,) = routing_by_agreement(u_hat, 1)
+    np.testing.assert_allclose(couplings, 0.1, atol=1e-12)
 
 
 def test_identical_votes_keep_couplings_uniform():
     rng = np.random.default_rng(5)
     per_child = rng.normal(size=(1, 6, 1, 4))
     u_hat = Tensor(np.repeat(per_child, 5, axis=2))  # same vote for every parent
-    _, state = dynamic_routing(u_hat, 4)
-    for c in state.coupling_history:
+    _, couplings = routing_by_agreement(u_hat, 4)
+    for c in couplings:
         np.testing.assert_allclose(c, 1 / 5, atol=1e-12)
 
 
 def test_coupling_simplex_after_every_iteration():
     rng = np.random.default_rng(6)
     u_hat = Tensor(rng.normal(size=(3, 12, 7, 5)))
-    _, state = dynamic_routing(u_hat, 5)
-    assert len(state.coupling_history) == 5
-    for c in state.coupling_history:
+    _, couplings = routing_by_agreement(u_hat, 5)
+    assert len(couplings) == 5
+    for c in couplings:
         assert np.all(c >= 0)
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-10)
 
@@ -164,22 +164,22 @@ def test_coupling_simplex_after_every_iteration():
 def test_routing_matches_transcription_oracle_toy_size():
     rng = np.random.default_rng(7)
     u_hat = rng.normal(size=(4, 3, 5))  # 4 children, 3 parents
-    y, state = dynamic_routing(Tensor(u_hat[None]), 3)
-    oy, ob, oc = reference_routing(u_hat[None], 3)
+    y, couplings = routing_by_agreement(Tensor(u_hat[None]), 3)
+    oy, _, oc = reference_routing(u_hat[None], 3)
     np.testing.assert_allclose(y.data, oy, atol=1e-10)
-    np.testing.assert_allclose(state.logits, ob, atol=1e-10)
-    np.testing.assert_allclose(state.couplings, oc[-1], atol=1e-10)
+    for c, ref_c in zip(couplings, oc, strict=True):
+        np.testing.assert_allclose(c, ref_c, atol=1e-10)
 
 
 def test_routing_parent_permutation_equivariance():
     rng = np.random.default_rng(8)
     u_hat = rng.normal(size=(2, 6, 5, 4))
     perm = rng.permutation(5)
-    y, state = dynamic_routing(Tensor(u_hat), 3)
-    yp, statep = dynamic_routing(Tensor(u_hat[:, :, perm, :]), 3)
+    y, couplings = routing_by_agreement(Tensor(u_hat), 3)
+    yp, couplings_p = routing_by_agreement(Tensor(u_hat[:, :, perm, :]), 3)
     np.testing.assert_allclose(yp.data, y.data[:, perm, :], atol=1e-12)
-    np.testing.assert_allclose(statep.couplings, state.couplings[:, :, perm], atol=1e-12)
-    np.testing.assert_allclose(statep.logits, state.logits[:, :, perm], atol=1e-12)
+    for cp, c in zip(couplings_p, couplings, strict=True):
+        np.testing.assert_allclose(cp, c[:, :, perm], atol=1e-12)
 
 
 # -- network stages ------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_forward_outputs_are_unit_norm():
     out = net.forward(x, mode="eval", routing_iterations=3)
     np.testing.assert_allclose(np.linalg.norm(out.h.data, axis=1), 1.0, atol=1e-6)
     np.testing.assert_allclose(np.linalg.norm(out.z.data, axis=1), 1.0, atol=1e-6)
-    assert out.y.shape == (4, 3, 4)
+    assert net.class_caps(net.primary_caps(net.conv_block(x, mode="eval")), 3).shape == (4, 3, 4)
     assert out.z.shape == (4, TINY.embedding_dim)
 
 

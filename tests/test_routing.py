@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccaps.autodiff import Tensor, routing_by_agreement
-from ccaps.model import CapsuleNetwork, ModelConfig, dynamic_routing
+from ccaps.model import CapsuleNetwork, ModelConfig
 from gradcheck import check_grad, finite_difference
 from routing_reference import reference_routing
 
@@ -14,9 +14,9 @@ STEP = 1e-4
 
 def _fused(u_hat: np.ndarray, proj: np.ndarray, iterations: int):
     t = Tensor(u_hat.copy(), requires_grad=True)
-    y, state = dynamic_routing(t, iterations)
+    y, couplings = routing_by_agreement(t, iterations)
     y.backward(proj)
-    return y.data, state, t.grad
+    return y.data, couplings, t.grad
 
 
 def _reference_grad(u_hat: np.ndarray, proj: np.ndarray, iterations: int) -> np.ndarray:
@@ -31,15 +31,15 @@ def test_fused_routing_matches_generic_reference(iterations):
     rng = np.random.default_rng(100 + iterations)
     u_hat = rng.normal(size=(3, 24, 6, 5))
     proj = rng.normal(size=(3, 6, 5))
-    y, state, grad = _fused(u_hat, proj, iterations)
-    ref_y, ref_logits, ref_couplings = reference_routing(u_hat, iterations)
+    y, couplings, grad = _fused(u_hat, proj, iterations)
+    ref_y, _, ref_couplings = reference_routing(u_hat, iterations)
 
     np.testing.assert_allclose(y, ref_y, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(state.logits, ref_logits, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(state.couplings, ref_couplings[-1], rtol=0, atol=1e-12)
-    assert len(state.coupling_history) == len(ref_couplings) == iterations
-    for c, ref_c in zip(state.coupling_history, ref_couplings):
+    # coupling t is the softmax of the logits after t - 1 agreement updates
+    assert len(couplings) == len(ref_couplings) == iterations
+    for c, ref_c in zip(couplings, ref_couplings):
         np.testing.assert_allclose(c, ref_c, rtol=0, atol=1e-12)
+        assert not c.flags.owndata  # a view of what the backward keeps, not a copy
     np.testing.assert_allclose(grad, _reference_grad(u_hat, proj, iterations), rtol=0, atol=1e-10)
 
 
@@ -78,8 +78,8 @@ def test_eval_forward_records_routing_node_for_trainable_weights():
     net = CapsuleNetwork(config, seed=0, dtype=np.float64)
     rng = np.random.default_rng(400)
     x = rng.normal(size=(2, 3, 8, 8))
-    out = net.forward(x, mode="eval")
-    assert out.y._parents and out.y._backward is not None
-    out.y.backward(rng.normal(size=out.y.shape))
+    y = net.class_caps(net.primary_caps(net.conv_block(x, mode="eval")), 3)
+    assert y._parents and y._backward is not None
+    y.backward(rng.normal(size=y.shape))
     grad = net.params["class_caps.weight"].grad
     assert grad is not None and np.any(grad != 0)
