@@ -15,10 +15,28 @@ gradient per parent, in parent order, with ``None`` for a parent that needs
 none, and ``Tensor.backward`` alone accumulates them.
 
 Only the nodes the capsule network runs exist here, each with a
-hand-derived backward: ``reshape``, ``transpose`` and ``relu`` on
-:class:`Tensor`, and ``concat``, ``conv2d``, ``batch_norm2d``, ``squash``,
-``l2_normalize``, ``capsule_votes`` and ``routing_by_agreement`` (one
-node for all of its iterations).
+hand-derived backward whose closure saves only what that backward reads:
+
+- ``reshape`` and ``transpose`` on :class:`Tensor` (nothing), ``relu``
+  (its output y) and ``concat`` (the split offsets);
+- ``conv2d``: the im2col rows (the weights are read at backward time);
+- ``batch_norm2d``: xhat and the inverse std;
+- ``conv_bn_relu``, one conv-block layer as one node: the im2col rows,
+  xhat, the inverse std and y;
+- ``squash``: its input; ``l2_normalize``: its output and the clamped norm;
+- ``capsule_votes``: the child poses and the weights, both in GEMM layout;
+- ``routing_by_agreement`` (one node for all of its iterations): the
+  votes transposed to [B, P, M, D], and each iteration's couplings,
+  pre-squash sums and poses;
+- ``class_capsules``, votes then routing as one node: what the two save,
+  but not the [B, M, P, D] vote array.
+
+The network runs ``conv_bn_relu`` and ``class_capsules``. They call the
+same forward and backward helpers as the single-op nodes, in the same
+order, so they give the same bits as the chain ``conv2d`` ->
+``batch_norm2d`` -> ``relu`` and ``capsule_votes`` ->
+``routing_by_agreement``; ``tests/forward_reference.py`` keeps that chain
+as their oracle, and the PrimaryCaps conv is a ``conv2d``.
 
 Image tensors have NCHW shapes and NHWC memory: ``conv2d`` returns its
 output, and its input gradient, as ``transpose(0, 3, 1, 2)`` views of
@@ -36,7 +54,13 @@ channels are the contiguous axis, as they are behind every ``conv2d``: it
 adds whole C-wide rows in the order ``a.sum(axis=(0, 2, 3))`` does, so the
 bits are the same, and it runs about 5x faster at C = 16. Any other layout,
 or one channel, takes ``sum`` itself. ReLU is one ``np.maximum`` pass,
-which lets NaN through; its backward masks by ``y > 0``.
+which lets NaN through; its backward masks by ``y > 0``. Inside
+``conv_bn_relu``, x - mu and then xhat are written into the conv GEMM's
+output buffer, the affine output into the variance's scratch buffer (a
+new one in eval mode), and ReLU runs in place on it. When no graph is
+recorded (eval under ``no_grad``, as feature extraction runs) the affine
+output and ReLU go into the conv buffer as well, so such a layer
+allocates nothing past its conv.
 
 dtype follows the inputs: float32 in training, float64 in the verification
 oracles. Inside ``with no_grad():`` nothing is recorded, which is how
@@ -62,10 +86,12 @@ __all__ = [
     "concat",
     "conv2d",
     "batch_norm2d",
+    "conv_bn_relu",
     "squash",
     "l2_normalize",
     "capsule_votes",
     "routing_by_agreement",
+    "class_capsules",
     "no_grad",
 ]
 
@@ -175,11 +201,17 @@ class Tensor:
         return _node(y, (self,), lambda g: (g * (y > 0),))
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """The op result; it keeps its parents and backward only when recording
+def _recorded(parents: tuple[Tensor, ...]) -> bool:
+    """Whether a node over `parents` keeps its graph edge: recording is on
     and some parent needs a gradient."""
+    return _RECORDING.get() and any(p.needs_grad for p in parents)
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The op result; it keeps its parents and backward only when
+    :func:`_recorded` holds."""
     out = Tensor(data)
-    if _RECORDING.get() and any(p.needs_grad for p in parents):
+    if _recorded(parents):
         out._parents = parents
         out._backward = backward
     return out
@@ -201,6 +233,64 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 # -- fused kernels ---------------------------------------------------------
+#
+# Each kernel's forward and backward arithmetic lives in private helpers
+# that take and return ndarrays. The single-op nodes and the two layer
+# nodes (`conv_bn_relu`, `class_capsules`) call the same helpers, so each
+# float comes from the same numpy call either way.
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
+    """The conv output as an NCHW view of an NHWC buffer, and the im2col rows."""
+    batch, channels, height, width = x.shape
+    filters, w_channels, kernel, kernel2 = weight.shape
+    if w_channels != channels or kernel != kernel2:
+        raise ValueError(f"conv2d: weight {weight.shape} incompatible with input {x.shape}")
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    if out_h < 1 or out_w < 1:
+        raise ValueError("conv2d: kernel larger than padded input")
+
+    padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=x.dtype)
+    padded[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    cols = (
+        windows[:, ::stride, ::stride]
+        .transpose(0, 1, 2, 4, 5, 3)
+        .reshape(batch * out_h * out_w, kernel * kernel * channels)
+    )
+    # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
+    # them rather than have every node hold one
+    out2 = cols @ weight.transpose(0, 2, 3, 1).reshape(filters, -1).T
+    return out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2), cols
+
+
+def _conv_backward(g, cols, weight, x_shape, stride, padding, need_dx, need_dw):
+    """(dx, dw) of :func:`_conv_forward` for the output gradient `g`; None where not needed."""
+    batch, channels, height, width = x_shape
+    filters, _, kernel, _ = weight.shape
+    out_h, out_w = g.shape[2:]
+    g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
+    dw = dx = None
+    if need_dw:
+        dw2 = g2.T @ cols
+        dw = dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2)
+    if need_dx:
+        # one GEMM per kernel offset, so each block added is contiguous
+        w3 = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+        w3 = w3.reshape(kernel * kernel, filters, channels)
+        dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
+        dpadded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=dcols.dtype)
+        # overlapping blocks: this order fixes dX's float32 rounding,
+        # so changing it changes every training digest
+        for j in range(kernel):
+            for i in range(kernel):
+                dpadded[
+                    :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
+                ] += dcols[i, j]
+        dx = dpadded[:, padding : padding + height, padding : padding + width]
+        dx = dx.transpose(0, 3, 1, 2)
+    return dx, dw
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
@@ -216,54 +306,13 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     gradient scatter-adds one contiguous [B, H_out, W_out, C] block per
     kernel offset back into a padded NHWC buffer.
     """
-    batch, channels, height, width = x.data.shape
-    filters, w_channels, kernel, kernel2 = weight.data.shape
-    if w_channels != channels or kernel != kernel2:
-        raise ValueError(
-            f"conv2d: weight {weight.data.shape} incompatible with input {x.data.shape}"
-        )
-    out_h = (height + 2 * padding - kernel) // stride + 1
-    out_w = (width + 2 * padding - kernel) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise ValueError("conv2d: kernel larger than padded input")
-
-    padded_shape = (batch, height + 2 * padding, width + 2 * padding, channels)
-    padded = np.zeros(padded_shape, dtype=x.data.dtype)
-    padded[:, padding : padding + height, padding : padding + width] = x.data.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
-    cols = (
-        windows[:, ::stride, ::stride]
-        .transpose(0, 1, 2, 4, 5, 3)
-        .reshape(batch * out_h * out_w, kernel * kernel * channels)
-    )
-    # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
-    # them rather than have every node hold one
-    out2 = cols @ weight.data.transpose(0, 2, 3, 1).reshape(filters, -1).T
+    out, cols = _conv_forward(x.data, weight.data, stride, padding)
 
     def bw(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
-        dw = dx = None
-        if weight.needs_grad:
-            dw2 = g2.T @ cols
-            dw = dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2)
-        if x.needs_grad:
-            # one GEMM per kernel offset, so each block added is contiguous
-            w3 = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
-            w3 = w3.reshape(kernel * kernel, filters, channels)
-            dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
-            dpadded = np.zeros(padded_shape, dtype=dcols.dtype)
-            # overlapping blocks: this order fixes dX's float32 rounding,
-            # so changing it changes every training digest
-            for j in range(kernel):
-                for i in range(kernel):
-                    dpadded[
-                        :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-                    ] += dcols[i, j]
-            dx = dpadded[:, padding : padding + height, padding : padding + width]
-            dx = dx.transpose(0, 3, 1, 2)
-        return dx, dw
+        return _conv_backward(
+            g, cols, weight.data, x.data.shape, stride, padding, x.needs_grad, weight.needs_grad
+        )
 
-    out = out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2)
     return _node(out, (x, weight), bw)
 
 
@@ -273,6 +322,58 @@ def _channel_sum(a: np.ndarray) -> np.ndarray:
     if a.shape[1] > 1 and a.strides[1] == a.itemsize:
         return np.einsum("nchw->c", a)
     return a.sum(axis=(0, 2, 3))
+
+
+def _bn_normalize(x, running_mean, running_var, training, momentum, eps, update_running, out=None):
+    """(xhat, inv4, square): x - mu goes to `out` (a new array if None) and is
+    scaled into xhat there; `square` is the variance's scratch buffer in
+    training mode, free for the affine output, and None in eval mode."""
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    square = None
+    if training:
+        if x.shape[0] < 2:
+            raise ValueError("batch_norm2d: training mode requires batch size >= 2")
+        # numpy's mean and var, except that x - mu is made once and kept
+        mu = _channel_sum(x) / count
+        xhat = np.subtract(x, mu.reshape(1, -1, 1, 1), out=out)
+        square = np.square(xhat)
+        var = _channel_sum(square) / count
+        if update_running:
+            unbiased = var * (count / (count - 1))
+            running_mean *= 1.0 - momentum
+            running_mean += momentum * mu
+            running_var *= 1.0 - momentum
+            running_var += momentum * unbiased
+    else:
+        xhat = np.subtract(x, running_mean.reshape(1, -1, 1, 1), out=out)
+        var = running_var
+    inv4 = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    xhat *= inv4
+    return xhat, inv4, square
+
+
+def _bn_affine(xhat, gamma, beta, out):
+    """gamma * xhat + beta, written to `out` (which may be xhat itself)."""
+    np.multiply(gamma.reshape(1, -1, 1, 1), xhat, out=out)
+    out += beta.reshape(1, -1, 1, 1)
+    return out
+
+
+def _bn_backward(g, xhat, inv4, gamma, training, need_dx, need_dgamma, need_dbeta):
+    """(dx, dgamma, dbeta) of batch norm for the output gradient `g`."""
+    dx = None
+    if need_dx:
+        dxhat = g * gamma.reshape(1, -1, 1, 1)
+        if training:
+            count = g.shape[0] * g.shape[2] * g.shape[3]
+            s1 = _channel_sum(dxhat).reshape(1, -1, 1, 1)
+            s2 = _channel_sum(dxhat * xhat).reshape(1, -1, 1, 1)
+            dx = inv4 / count * (count * dxhat - s1 - xhat * s2)
+        else:
+            dx = dxhat * inv4
+    dgamma = _channel_sum(g * xhat) if need_dgamma else None
+    dbeta = _channel_sum(g) if need_dbeta else None
+    return dx, dgamma, dbeta
 
 
 def batch_norm2d(
@@ -293,50 +394,67 @@ def batch_norm2d(
     the running buffers (mutated in place). Eval mode normalizes with the
     running buffers and never touches them.
     """
-    batch = x.data.shape[0]
-    count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-    g4 = gamma.data.reshape(1, -1, 1, 1)
-
-    if training:
-        if batch < 2:
-            raise ValueError("batch_norm2d: training mode requires batch size >= 2")
-        # numpy's mean and var, except that x - mu is made once and kept:
-        # it becomes xhat, and the buffer of its square becomes the output
-        mu = _channel_sum(x.data) / count
-        xhat = x.data - mu.reshape(1, -1, 1, 1)
-        out = np.square(xhat)
-        var = _channel_sum(out) / count
-        if update_running:
-            unbiased = var * (count / (count - 1))
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu
-            running_var *= 1.0 - momentum
-            running_var += momentum * unbiased
-    else:
-        xhat = x.data - running_mean.reshape(1, -1, 1, 1)
-        out = np.empty_like(xhat)
-        var = running_var
-
-    inv4 = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
-    xhat *= inv4
-    np.multiply(g4, xhat, out=out)
-    out += beta.data.reshape(1, -1, 1, 1)
+    xhat, inv4, square = _bn_normalize(
+        x.data, running_mean, running_var, training, momentum, eps, update_running
+    )
+    out = _bn_affine(xhat, gamma.data, beta.data, np.empty_like(xhat) if square is None else square)
 
     def bw(g):
-        dx = None
-        if x.needs_grad:
-            dxhat = g * g4
-            if training:
-                s1 = _channel_sum(dxhat).reshape(1, -1, 1, 1)
-                s2 = _channel_sum(dxhat * xhat).reshape(1, -1, 1, 1)
-                dx = inv4 / count * (count * dxhat - s1 - xhat * s2)
-            else:
-                dx = dxhat * inv4
-        dgamma = _channel_sum(g * xhat) if gamma.needs_grad else None
-        dbeta = _channel_sum(g) if beta.needs_grad else None
-        return dx, dgamma, dbeta
+        return _bn_backward(
+            g, xhat, inv4, gamma.data, training, x.needs_grad, gamma.needs_grad, beta.needs_grad
+        )
 
     return _node(out, (x, gamma, beta), bw)
+
+
+def conv_bn_relu(
+    x: Tensor,
+    weight: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    stride: int = 1,
+    padding: int = 1,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+    update_running: bool = True,
+) -> Tensor:
+    """One conv-block layer, ``conv2d -> batch_norm2d -> relu``, as one node.
+
+    Same arguments and the same bits as the chain of the three single-op
+    nodes. Batch norm runs in the conv GEMM's own output buffer (x - mu,
+    then xhat); the affine output goes to the variance's scratch buffer (a
+    new one in eval mode) and ReLU runs in place on it, so the node saves
+    only the im2col rows, xhat, inv-std and y. When no graph is recorded
+    the affine output and ReLU run in place on xhat as well.
+    """
+    parents = (x, weight, gamma, beta)
+    conv, cols = _conv_forward(x.data, weight.data, stride, padding)
+    xhat, inv4, square = _bn_normalize(
+        conv, running_mean, running_var, training, momentum, eps, update_running, out=conv
+    )
+    if not _recorded(parents):
+        square = xhat
+    elif square is None:
+        square = np.empty_like(xhat)
+    y = np.maximum(_bn_affine(xhat, gamma.data, beta.data, square), 0, out=square)
+
+    def bw(g):
+        g = g * (y > 0)
+        need_conv = x.needs_grad or weight.needs_grad
+        dconv, dgamma, dbeta = _bn_backward(
+            g, xhat, inv4, gamma.data, training, need_conv, gamma.needs_grad, beta.needs_grad
+        )
+        dx = dw = None
+        if need_conv:
+            dx, dw = _conv_backward(
+                dconv, cols, weight.data, x.data.shape, stride, padding, x.needs_grad, weight.needs_grad
+            )
+        return dx, dw, dgamma, dbeta
+
+    return _node(y, parents, bw)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -381,6 +499,32 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
 
     return _node(value, (x,), bw)
 
+def _votes_forward(u: np.ndarray, weight: np.ndarray):
+    """(votes [B, M, P, D_out], the [M, B, D_in] poses, the [M, D_in, P * D_out] weights)."""
+    parents, children, d_in, d_out = weight.shape
+    batch = u.shape[0]
+    if u.shape[1] != children or u.shape[2] != d_in:
+        raise ValueError(f"capsule_votes: poses {u.shape} incompatible with weights {weight.shape}")
+    # one batched GEMM per child capsule: [M,B,Din] @ [M,Din,P*Dout]
+    w2 = weight.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
+    um = np.ascontiguousarray(u.transpose(1, 0, 2))
+    out_m = np.matmul(um, w2)
+    return out_m.transpose(1, 0, 2).reshape(batch, children, parents, d_out), um, w2
+
+
+def _votes_backward(g, um, w2, need_du, need_dw):
+    """(du, dw) of :func:`_votes_forward` for the vote gradient `g`."""
+    children, batch, d_in = um.shape
+    _, _, parents, d_out = g.shape
+    g_m = np.ascontiguousarray(g.reshape(batch, children, parents * d_out).transpose(1, 0, 2))
+    du = dw = None
+    if need_du:
+        du = np.matmul(g_m, w2.swapaxes(1, 2)).transpose(1, 0, 2)
+    if need_dw:
+        dw2 = np.matmul(um.swapaxes(1, 2), g_m)
+        dw = dw2.reshape(children, d_in, parents, d_out).transpose(2, 0, 1, 3)
+    return du, dw
+
 
 def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     """Vote vectors: every child pose times its per-parent transform.
@@ -388,29 +532,52 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     u: [B, M, D_in] child poses; weight: [P, M, D_in, D_out];
     returns [B, M, P, D_out] with out[b, m, p] = weight[p, m].T-applied u[b, m].
     """
-    parents, children, d_in, d_out = weight.data.shape
-    batch = u.data.shape[0]
-    if u.data.shape[1] != children or u.data.shape[2] != d_in:
-        raise ValueError(
-            f"capsule_votes: poses {u.data.shape} incompatible with weights {weight.data.shape}"
-        )
-    # one batched GEMM per child capsule: [M,B,Din] @ [M,Din,P*Dout]
-    w2 = weight.data.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
-    um = np.ascontiguousarray(u.data.transpose(1, 0, 2))
-    out_m = np.matmul(um, w2)
+    out, um, w2 = _votes_forward(u.data, weight.data)
+    return _node(out, (u, weight), lambda g: _votes_backward(g, um, w2, u.needs_grad, weight.needs_grad))
 
-    def bw(g):
-        g_m = np.ascontiguousarray(g.reshape(batch, children, parents * d_out).transpose(1, 0, 2))
-        du = dw = None
-        if u.needs_grad:
-            du = np.matmul(g_m, w2.swapaxes(1, 2)).transpose(1, 0, 2)
-        if weight.needs_grad:
-            dw2 = np.matmul(um.swapaxes(1, 2), g_m)
-            dw = dw2.reshape(children, d_in, parents, d_out).transpose(2, 0, 1, 3)
-        return du, dw
 
-    out = out_m.transpose(1, 0, 2).reshape(batch, children, parents, d_out)
-    return _node(out, (u, weight), bw)
+def _route(u_hat: np.ndarray, iterations: int):
+    """(u, cs, ss, ys): the votes transposed to [B, P, M, D] and each
+    iteration's couplings, pre-squash poses and poses."""
+    if iterations < 1:
+        raise ValueError("routing needs at least one iteration")
+    u = np.ascontiguousarray(u_hat.transpose(0, 2, 1, 3))
+    b = np.zeros(u.shape[:3], dtype=u.dtype)
+    cs, ss, ys = [], [], []
+    for t in range(iterations):
+        if t:
+            b += np.matmul(u, y[..., None])[..., 0]
+        c = _softmax(b, axis=1)
+        s = np.matmul(c[:, :, None, :], u)[:, :, 0]
+        y = _squash(s)
+        cs.append(c)
+        ss.append(s)
+        ys.append(y)
+    return u, cs, ss, ys
+
+
+def _route_backward(g, u, cs, ss, ys):
+    """The vote gradient [B, M, P, D] of :func:`_route` for the pose gradient `g`."""
+    coefs, vecs = [], []
+    db = None
+    dy = g
+    for t in reversed(range(len(cs))):
+        if db is not None:
+            dy = np.matmul(db[:, :, None, :], u)[:, :, 0]
+            coefs.append(db)
+            vecs.append(ys[t])
+        ds = _squash_backward(ss[t], dy)
+        coefs.append(cs[t])
+        vecs.append(ds)
+        if t:  # the first couplings come from constant logits
+            dc = np.matmul(u, ds[..., None])[..., 0]
+            step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
+            db = step if db is None else db + step
+    # written through a transposed view so the vote gradient is
+    # contiguous in the votes' own layout for the next backward
+    du = np.empty(u.transpose(0, 2, 1, 3).shape, dtype=u.dtype)
+    np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
+    return du
 
 
 def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[np.ndarray, ...]]:
@@ -431,41 +598,28 @@ def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[
     gradient and db is zero. The vote gradient
     sum_t c_t (x) ds_t + db_t (x) y_t is a single batched GEMM.
     """
-    if iterations < 1:
-        raise ValueError("routing needs at least one iteration")
-    u = np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3))
-    b = np.zeros(u.shape[:3], dtype=u.dtype)
-    cs, ss, ys = [], [], []
-    for t in range(iterations):
-        if t:
-            b += np.matmul(u, y[..., None])[..., 0]
-        c = _softmax(b, axis=1)
-        s = np.matmul(c[:, :, None, :], u)[:, :, 0]
-        y = _squash(s)
-        cs.append(c)
-        ss.append(s)
-        ys.append(y)
+    u, cs, ss, ys = _route(u_hat.data, iterations)
+    y = _node(ys[-1], (u_hat,), lambda g: (_route_backward(g, u, cs, ss, ys),))
+    return y, tuple(c.transpose(0, 2, 1) for c in cs)
+
+
+def class_capsules(u: Tensor, weight: Tensor, iterations: int) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+    """``capsule_votes`` then ``routing_by_agreement`` as one node.
+
+    Same arguments, results and bits as the two single-op nodes. The
+    [B, M, P, D] vote array is dropped as soon as routing has its
+    transposed copy, so the node saves the poses and weights the vote
+    backward reads and what routing's backward reads, not the votes.
+    """
+    votes, um, w2 = _votes_forward(u.data, weight.data)
+    routed = _route(votes, iterations)
+    del votes
+    y, couplings = routed[3][-1], tuple(c.transpose(0, 2, 1) for c in routed[1])
 
     def bw(g):
-        coefs, vecs = [], []
-        db = None
-        dy = g
-        for t in reversed(range(iterations)):
-            if db is not None:
-                dy = np.matmul(db[:, :, None, :], u)[:, :, 0]
-                coefs.append(db)
-                vecs.append(ys[t])
-            ds = _squash_backward(ss[t], dy)
-            coefs.append(cs[t])
-            vecs.append(ds)
-            if t:  # the first couplings come from constant logits
-                dc = np.matmul(u, ds[..., None])[..., 0]
-                step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
-                db = step if db is None else db + step
-        # written through a transposed view so the vote gradient is
-        # contiguous in the votes' own layout for the next backward
-        du = np.empty(u_hat.shape, dtype=u.dtype)
-        np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
-        return (du,)
+        nonlocal routed
+        du_hat = _route_backward(g, *routed)
+        routed = None  # routing's arrays go before the vote backward allocates
+        return _votes_backward(du_hat, um, w2, u.needs_grad, weight.needs_grad)
 
-    return _node(y, (u_hat,), bw), tuple(c.transpose(0, 2, 1) for c in cs)
+    return _node(y, (u, weight), bw), couplings

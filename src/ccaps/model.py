@@ -30,9 +30,9 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    batch_norm2d,
-    capsule_votes,
+    class_capsules,
     conv2d,
+    conv_bn_relu,
     l2_normalize,
     routing_by_agreement,
     squash,
@@ -243,27 +243,28 @@ class CapsuleNetwork:
     # -- stages -----------------------------------------------------------
 
     def conv_block(self, x, mode: str = "eval", update_running: bool = True) -> Tensor:
-        """Six conv -> batch norm -> relu stages; returns the feature map."""
+        """Six conv -> batch norm -> relu layers, one :func:`conv_bn_relu`
+        node each; returns the feature map."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         t = x if isinstance(x, Tensor) else Tensor(x)
         if t.shape[1] != self.config.in_channels:
             raise ValueError(f"expected {self.config.in_channels} input channels, got {t.shape[1]}")
-        training = mode == "train"
         for i, stride in enumerate(self.config.conv_strides, start=1):
-            t = conv2d(t, self.params[f"conv{i}.weight"], stride=stride, padding=self.config.padding)
-            t = batch_norm2d(
+            t = conv_bn_relu(
                 t,
+                self.params[f"conv{i}.weight"],
                 self.params[f"conv{i}.bn.gamma"],
                 self.params[f"conv{i}.bn.beta"],
                 self.buffers[f"conv{i}.bn.running_mean"],
                 self.buffers[f"conv{i}.bn.running_var"],
-                training=training,
+                training=mode == "train",
+                stride=stride,
+                padding=self.config.padding,
                 momentum=self.config.bn_momentum,
                 eps=self.config.bn_eps,
                 update_running=update_running,
             )
-            t = t.relu()
         return t
 
     def primary_caps(self, feature_map: Tensor) -> Tensor:
@@ -290,11 +291,10 @@ class CapsuleNetwork:
     def class_caps(self, u: Tensor, routing_iterations: int) -> Tensor:
         """Child poses [B, M, D] -> class capsules [B, classes, class_dim].
 
-        Votes come from one batched GEMM (:func:`capsule_votes`); routing
-        is the single fused node :func:`routing_by_agreement`.
+        Votes (one batched GEMM) and routing by agreement are the single
+        node :func:`class_capsules`.
         """
-        u_hat = capsule_votes(u, self.params["class_caps.weight"])
-        return routing_by_agreement(u_hat, routing_iterations)[0]
+        return class_capsules(u, self.params["class_caps.weight"], routing_iterations)[0]
 
     def forward(
         self,

@@ -72,7 +72,8 @@ class ParamSummary:
 class FlopSummary:
     conv_total: int
     votes_macs: int
-    routing_macs_per_iteration: int
+    routing_sum_macs: int  # coupling-weighted vote sum, on each routing iteration
+    routing_agreement_macs: int  # agreement dot products, on T - 1 of T iterations
     elementwise_aux: int  # batch norm + relu elementwise ops
     doubled_total: int  # conv_total under 2 FLOPs per MAC
 
@@ -159,8 +160,8 @@ def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
     reports = layer_reports(config)
     conv_total = sum(r.macs for r in reports if r.name.startswith(("Conv2d", "PrimaryCaps")))
     votes = next(r.macs for r in reports if r.name == "ClassCaps")
-    # one routing iteration: coupling-weighted vote sum + agreement dot products
-    routing = 2 * config.num_primary_capsules * config.num_classes * config.class_capsule_dim
+    # s = c @ u on every iteration, the agreement u @ y between two iterations
+    routing = config.num_primary_capsules * config.num_classes * config.class_capsule_dim
     sizes = config.conv_spatial_sizes()
     elementwise = sum(
         2 * c * s * s for c, s in zip(config.conv_channels, sizes)
@@ -168,7 +169,8 @@ def count_flops(config: ModelConfig = ModelConfig()) -> FlopSummary:
     return FlopSummary(
         conv_total=conv_total,
         votes_macs=votes,
-        routing_macs_per_iteration=routing,
+        routing_sum_macs=routing,
+        routing_agreement_macs=routing,
         elementwise_aux=elementwise,
         doubled_total=2 * conv_total,
     )
@@ -219,7 +221,10 @@ def format_profile(config: ModelConfig = ModelConfig()) -> str:
         _versus_line(f"  vs {PUBLISHED_FLOPS_TOTAL:,} published FLOPs", flops.conv_total, PUBLISHED_FLOPS_TOTAL),
         _count_line("  as 2 FLOPs per MAC", flops.doubled_total),
         _count_line("vote MACs", flops.votes_macs, "   (auxiliary)"),
-        _count_line("routing MACs/iter", flops.routing_macs_per_iteration, "   (auxiliary)"),
+        _count_line("routing vote-sum MACs/iter", flops.routing_sum_macs, "   (auxiliary)"),
+        _count_line(
+            "routing agreement MACs/iter", flops.routing_agreement_macs, "   (on T - 1 of T iterations)"
+        ),
         _count_line("elementwise aux ops", flops.elementwise_aux, "   (batch norm + relu)"),
     ]
     return "\n".join(lines)

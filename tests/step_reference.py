@@ -2,8 +2,10 @@
 
 Each step runs view i, then view j, through one network on one thread,
 joins both embeddings in one graph and calls ``loss.backward()`` once, so
-every parameter's two per-view gradients are summed by the engine. The
-threaded step in ``train.train`` must give the same bytes.
+every parameter's two per-view gradients are summed by the engine. Each
+view runs ``forward_reference.chain_forward``, the chain of single-op
+kernels, not ``net.forward`` and its layer nodes. The threaded step in
+``train.train`` must give the same bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ccaps.loss import nt_xent_op
 from ccaps.model import CapsuleNetwork
 from ccaps.rngstream import AUGMENT_STREAM, stream_rng
 from ccaps.train import Adam
+from forward_reference import chain_forward
 
 
 def sequential_step(net, adam, config, stats, batch, epoch) -> float:
@@ -24,8 +27,8 @@ def sequential_step(net, adam, config, stats, batch, epoch) -> float:
     views = two_view_batch(to_unit_interval(batch.images), rngs, config.augment)
     view_i, view_j = standardize(views, stats)
     iterations = config.routing_iterations
-    out_i = net.forward(view_i, mode="train", routing_iterations=iterations, update_running=True)
-    out_j = net.forward(view_j, mode="train", routing_iterations=iterations, update_running=False)
+    out_i = chain_forward(net, view_i, mode="train", routing_iterations=iterations, update_running=True)
+    out_j = chain_forward(net, view_j, mode="train", routing_iterations=iterations, update_running=False)
     loss = nt_xent_op(concat([out_i.z, out_j.z], axis=0), config.temperature)
     adam.zero_grad()
     loss.backward()

@@ -206,43 +206,59 @@ def test_conv_block_train_rejects_batch_of_one():
 
 def test_conv_block_stays_channels_last_forward_and_backward(monkeypatch):
     # NCHW shapes over NHWC memory: a layer that hands back an NCHW buffer
-    # makes every elementwise pass below it mix the two layouts
+    # makes every elementwise pass below it mix the two layouts. The six
+    # conv-block layers are conv_bn_relu nodes and the seventh conv is the
+    # PrimaryCaps conv2d: each is hooked for its input and output, its
+    # backward for the gradient it gets and the input gradient it returns,
+    # and the conv backward inside all seven for the gradient it gets.
     from ccaps import autodiff, model
 
-    activations, conv_grads = [], []
+    activations, node_grads, input_grads, conv_grads = [], [], [], []
 
-    def recording_conv2d(x, weight, **kwargs):
-        activations.append(("conv input", x.data))
-        out = autodiff.conv2d(x, weight, **kwargs)
-        activations.append(("conv output", out.data))
-        inner = out._backward
+    def recording(kernel):
+        def node(x, *args, **kwargs):
+            activations.append(("input", x.data))
+            out = kernel(x, *args, **kwargs)
+            activations.append(("output", out.data))
+            inner = out._backward
 
-        def bw(g):
-            conv_grads.append(g)
-            return inner(g)
+            def bw(g):
+                node_grads.append(g)
+                grads = inner(g)
+                input_grads.append(grads[0])
+                return grads
 
-        out._backward = bw
-        return out
+            out._backward = bw
+            return out
 
-    def recording_batch_norm2d(*args, **kwargs):
-        out = autodiff.batch_norm2d(*args, **kwargs)
-        activations.append(("batch norm output", out.data))
-        return out
+        return node
 
-    monkeypatch.setattr(model, "conv2d", recording_conv2d)
-    monkeypatch.setattr(model, "batch_norm2d", recording_batch_norm2d)
+    conv_backward = autodiff._conv_backward
+
+    def recording_conv_backward(g, *args):
+        conv_grads.append(g)
+        return conv_backward(g, *args)
+
+    monkeypatch.setattr(model, "conv_bn_relu", recording(autodiff.conv_bn_relu))
+    monkeypatch.setattr(model, "conv2d", recording(autodiff.conv2d))
+    monkeypatch.setattr(autodiff, "_conv_backward", recording_conv_backward)
     net = CapsuleNetwork(ModelConfig(), seed=0)
     x = np.random.default_rng(11).normal(size=(2, 3, 32, 32)).astype(np.float32)
     out = net.conv_block(Tensor(x, requires_grad=True), mode="train", update_running=False)
-    activations.append(("relu output", out.data))
     u = net.primary_caps(out)  # the PrimaryCaps conv is the seventh
     u.backward(2 * u.data)  # the gradient of sum(u ** 2)
 
-    assert len(activations) == 3 * 6 + 1 + 2 and len(conv_grads) == 7
+    assert len(activations) == 2 * 7
+    assert len(node_grads) == len(input_grads) == len(conv_grads) == 7
     for i, (what, a) in enumerate(activations[1:], start=1):  # [0] is the NCHW image batch
         assert a.transpose(0, 2, 3, 1).flags.c_contiguous, (i, what, a.shape)
     for g in conv_grads:
         assert g.transpose(0, 2, 3, 1).flags.c_contiguous, g.shape
+    # a conv's input gradient is a view into the padded NHWC buffer of its
+    # scatter, and so is the gradient the layer below it gets
+    for g in node_grads + input_grads:
+        strides = g.transpose(0, 2, 3, 1).strides
+        assert strides[3] == g.itemsize and list(strides) == sorted(strides, reverse=True), g.shape
 
 
 def test_primary_caps_norms_below_one_and_reshape_inverts():

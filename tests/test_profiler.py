@@ -44,7 +44,15 @@ def test_conv_mac_total_and_flop_conventions():
     assert flops.conv_total == 18_137_088
     assert flops.doubled_total == 2 * 18_137_088
     assert flops.votes_macs == 512 * 10 * 16 * 16
-    assert flops.routing_macs_per_iteration == 2 * 512 * 10 * 16
+    # routing runs the vote sum on each of T iterations, the agreement on T - 1
+    assert flops.routing_sum_macs == flops.routing_agreement_macs == 512 * 10 * 16
+
+
+def test_format_profile_routing_lines_say_what_the_node_runs():
+    lines = [" ".join(line.split()) for line in format_profile(DEFAULT).splitlines()]
+    assert "routing vote-sum MACs/iter 81,920 (auxiliary)" in lines
+    assert "routing agreement MACs/iter 81,920 (on T - 1 of T iterations)" in lines
+    assert not any(line.startswith("routing MACs/iter") for line in lines)
 
 
 def test_counts_are_additive_over_layers():
