@@ -24,12 +24,12 @@ hand-derived backward whose closure saves only what that backward reads:
 - ``conv_bn_relu``, one conv-block layer as one node: the im2col rows,
   xhat, the inverse std and y;
 - ``squash``: its input; ``l2_normalize``: its output and the clamped norm;
-- ``capsule_votes``: the child poses and the weights, both in GEMM layout;
+- ``capsule_votes``: the child poses in GEMM layout (the weights are read
+  at backward time); its votes are a view of routing's [B, P, M, D] layout;
 - ``routing_by_agreement`` (one node for all of its iterations): the
-  votes transposed to [B, P, M, D], and each iteration's couplings,
-  pre-squash sums and poses;
-- ``class_capsules``, votes then routing as one node: what the two save,
-  but not the [B, M, P, D] vote array.
+  [B, P, M, D] votes, and each iteration's couplings, pre-squash sums and
+  poses;
+- ``class_capsules``, votes then routing as one node: what the two save.
 
 The network runs ``conv_bn_relu`` and ``class_capsules``. They call the
 same forward and backward helpers as the single-op nodes, in the same
@@ -500,25 +500,27 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return _node(value, (x,), bw)
 
 def _votes_forward(u: np.ndarray, weight: np.ndarray):
-    """(votes [B, M, P, D_out], the [M, B, D_in] poses, the [M, D_in, P * D_out] weights)."""
+    """(votes [B, P, M, D_out] in routing's layout, the [M, B, D_in] poses)."""
     parents, children, d_in, d_out = weight.shape
     batch = u.shape[0]
     if u.shape[1] != children or u.shape[2] != d_in:
         raise ValueError(f"capsule_votes: poses {u.shape} incompatible with weights {weight.shape}")
-    # one batched GEMM per child capsule: [M,B,Din] @ [M,Din,P*Dout]
-    w2 = weight.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
     um = np.ascontiguousarray(u.transpose(1, 0, 2))
-    out_m = np.matmul(um, w2)
-    return out_m.transpose(1, 0, 2).reshape(batch, children, parents, d_out), um, w2
+    votes = np.empty((batch, parents, children, d_out), dtype=np.result_type(um, weight))
+    for p in range(parents):  # one batched GEMM per parent: [M,B,Din] @ [M,Din,Dout]
+        np.matmul(um, weight[p], out=votes[:, p].transpose(1, 0, 2))
+    return votes, um
 
 
-def _votes_backward(g, um, w2, need_du, need_dw):
-    """(du, dw) of :func:`_votes_forward` for the vote gradient `g`."""
+def _votes_backward(g, um, weight, need_du, need_dw):
+    """(du, dw) of :func:`_votes_forward` for the [B, M, P, D] vote gradient `g`."""
     children, batch, d_in = um.shape
-    _, _, parents, d_out = g.shape
+    parents, _, _, d_out = weight.shape
+    # both GEMMs read one [M, B, P * D] copy of g: du as one GEMM over K = P * D_out fixes its bits
     g_m = np.ascontiguousarray(g.reshape(batch, children, parents * d_out).transpose(1, 0, 2))
     du = dw = None
     if need_du:
+        w2 = weight.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
         du = np.matmul(g_m, w2.swapaxes(1, 2)).transpose(1, 0, 2)
     if need_dw:
         dw2 = np.matmul(um.swapaxes(1, 2), g_m)
@@ -530,18 +532,22 @@ def capsule_votes(u: Tensor, weight: Tensor) -> Tensor:
     """Vote vectors: every child pose times its per-parent transform.
 
     u: [B, M, D_in] child poses; weight: [P, M, D_in, D_out];
-    returns [B, M, P, D_out] with out[b, m, p] = weight[p, m].T-applied u[b, m].
+    returns [B, M, P, D_out] with out[b, m, p] = weight[p, m].T-applied u[b, m],
+    a view of a C-contiguous [B, P, M, D_out] buffer (routing's layout).
     """
-    out, um, w2 = _votes_forward(u.data, weight.data)
-    return _node(out, (u, weight), lambda g: _votes_backward(g, um, w2, u.needs_grad, weight.needs_grad))
+    votes, um = _votes_forward(u.data, weight.data)
+    return _node(
+        votes.transpose(0, 2, 1, 3),
+        (u, weight),
+        lambda g: _votes_backward(g, um, weight.data, u.needs_grad, weight.needs_grad),
+    )
 
 
-def _route(u_hat: np.ndarray, iterations: int):
-    """(u, cs, ss, ys): the votes transposed to [B, P, M, D] and each
-    iteration's couplings, pre-squash poses and poses."""
+def _route(u: np.ndarray, iterations: int):
+    """(u, cs, ss, ys): the C-contiguous [B, P, M, D] votes, read as they
+    are, and each iteration's couplings, pre-squash poses and poses."""
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
-    u = np.ascontiguousarray(u_hat.transpose(0, 2, 1, 3))
     b = np.zeros(u.shape[:3], dtype=u.dtype)
     cs, ss, ys = [], [], []
     for t in range(iterations):
@@ -586,10 +592,10 @@ def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[
     Returns the parent poses y [B, P, D] and the couplings of every
     iteration, each a [B, M, P] view (softmax over P) of an array the
     backward keeps anyway; read them, do not write them. Logits start at
-    zero. The votes are transposed once to [B, P, M, D], so each iteration
-    is a softmax and two batched matmuls: s = c @ u, then squash; between
-    two iterations the agreement u @ y raises the logits. That is T - 1
-    agreement updates: the last poses feed none.
+    zero. The votes are read as [B, P, M, D] (no copy for ``capsule_votes``'s),
+    so each iteration is a softmax and two batched matmuls: s = c @ u, then
+    squash; between two iterations the agreement u @ y raises the logits.
+    That is T - 1 agreement updates: the last poses feed none.
 
     The backward runs through every iteration from the stored c, s and y.
     With db = dL/d b_t, where c_{t+1} = softmax(b_t), walking t = T..1:
@@ -598,7 +604,7 @@ def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[
     gradient and db is zero. The vote gradient
     sum_t c_t (x) ds_t + db_t (x) y_t is a single batched GEMM.
     """
-    u, cs, ss, ys = _route(u_hat.data, iterations)
+    u, cs, ss, ys = _route(np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3)), iterations)
     y = _node(ys[-1], (u_hat,), lambda g: (_route_backward(g, u, cs, ss, ys),))
     return y, tuple(c.transpose(0, 2, 1) for c in cs)
 
@@ -607,19 +613,18 @@ def class_capsules(u: Tensor, weight: Tensor, iterations: int) -> tuple[Tensor, 
     """``capsule_votes`` then ``routing_by_agreement`` as one node.
 
     Same arguments, results and bits as the two single-op nodes. The
-    [B, M, P, D] vote array is dropped as soon as routing has its
-    transposed copy, so the node saves the poses and weights the vote
-    backward reads and what routing's backward reads, not the votes.
+    votes are made in routing's [B, P, M, D] layout and routing reads that
+    one buffer, so the node saves the [M, B, D_in] poses and what routing's
+    backward reads; the vote backward reads the weights at backward time.
     """
-    votes, um, w2 = _votes_forward(u.data, weight.data)
+    votes, um = _votes_forward(u.data, weight.data)
     routed = _route(votes, iterations)
-    del votes
     y, couplings = routed[3][-1], tuple(c.transpose(0, 2, 1) for c in routed[1])
 
     def bw(g):
         nonlocal routed
         du_hat = _route_backward(g, *routed)
         routed = None  # routing's arrays go before the vote backward allocates
-        return _votes_backward(du_hat, um, w2, u.needs_grad, weight.needs_grad)
+        return _votes_backward(du_hat, um, weight.data, u.needs_grad, weight.needs_grad)
 
     return _node(y, (u, weight), bw), couplings

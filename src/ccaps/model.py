@@ -291,8 +291,8 @@ class CapsuleNetwork:
     def class_caps(self, u: Tensor, routing_iterations: int) -> Tensor:
         """Child poses [B, M, D] -> class capsules [B, classes, class_dim].
 
-        Votes (one batched GEMM) and routing by agreement are the single
-        node :func:`class_capsules`.
+        Votes (one batched GEMM per class, in routing's layout) and routing
+        by agreement are the single node :func:`class_capsules`.
         """
         return class_capsules(u, self.params["class_caps.weight"], routing_iterations)[0]
 

@@ -57,7 +57,6 @@ class LayerReport:
     out_channels: int | None = None
     stride: int | None = None
     features: int | None = None  # batch-norm feature count
-    param_names: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,6 @@ def layer_reports(config: ModelConfig = ModelConfig()) -> list[LayerReport]:
                 in_channels=in_c,
                 out_channels=out_c,
                 stride=stride,
-                param_names=(f"conv{i}.weight",),
             )
         )
         reports.append(
@@ -106,7 +104,6 @@ def layer_reports(config: ModelConfig = ModelConfig()) -> list[LayerReport]:
                 macs=0,
                 out_shape=(out_c, size, size),
                 features=out_c,
-                param_names=(f"conv{i}.bn.gamma", f"conv{i}.bn.beta"),
             )
         )
         in_c = out_c
@@ -120,7 +117,6 @@ def layer_reports(config: ModelConfig = ModelConfig()) -> list[LayerReport]:
             in_channels=in_c,
             out_channels=config.primary_channels,
             stride=1,
-            param_names=("primary.weight",),
         )
     )
     reports.append(
@@ -137,7 +133,6 @@ def layer_reports(config: ModelConfig = ModelConfig()) -> list[LayerReport]:
             out_shape=(config.num_classes, config.class_capsule_dim),
             in_channels=config.num_primary_capsules,
             out_channels=config.num_classes,
-            param_names=("class_caps.weight",),
         )
     )
     return reports

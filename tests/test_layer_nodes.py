@@ -186,8 +186,8 @@ def test_class_capsule_node_grads_match_finite_differences(wrt):
 
 
 def test_a_view_through_the_nodes_peaks_ten_percent_below_the_chain():
-    # the chain's graph also holds every conv and batch-norm output and the
-    # vote array, which no backward reads
+    # the chain's graph also holds every conv and batch-norm output, which
+    # no backward reads, and keeps the votes alive through the vote backward
     rng = np.random.default_rng(9)
     x = rng.normal(size=(16, 3, 32, 32)).astype(np.float32)
     g = rng.normal(size=(16, ModelConfig().embedding_dim)).astype(np.float32)
