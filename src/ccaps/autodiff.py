@@ -19,10 +19,11 @@ hand-derived backward whose closure saves only what that backward reads:
 
 - ``reshape`` and ``transpose`` on :class:`Tensor` (nothing), ``relu``
   (its output y) and ``concat`` (the split offsets);
-- ``conv2d``: the im2col rows (the weights are read at backward time);
+- ``conv2d``: nothing; at backward time it reads the weights and rebuilds
+  the im2col rows from its input, so neither may be written before then;
 - ``batch_norm2d``: xhat and the inverse std;
-- ``conv_bn_relu``, one conv-block layer as one node: the im2col rows,
-  xhat, the inverse std and y;
+- ``conv_bn_relu``, one conv-block layer as one node: xhat, the inverse
+  std and y (the input and weights are read as in ``conv2d``);
 - ``squash``: its input; ``l2_normalize``: its output and the clamped norm;
 - ``capsule_votes``: the child poses in GEMM layout (the weights are read
   at backward time); its votes are a view of routing's [B, P, M, D] layout;
@@ -240,8 +241,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # float comes from the same numpy call either way.
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
-    """The conv output as an NCHW view of an NHWC buffer, and the im2col rows."""
+def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, out_w: int) -> np.ndarray:
+    """The [B * H_out * W_out, k * k * C] im2col rows of the NCHW `x`, in (kh, kw, C)
+    order: one copy of a strided sliding-window view of the zero-padded NHWC input."""
+    batch, channels, height, width = x.shape
+    padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=x.dtype)
+    padded[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    return (
+        windows[:, ::stride, ::stride]
+        .transpose(0, 1, 2, 4, 5, 3)
+        .reshape(batch * out_h * out_w, kernel * kernel * channels)
+    )
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The conv output as an NCHW view of an NHWC buffer; the im2col rows go after the GEMM."""
     batch, channels, height, width = x.shape
     filters, w_channels, kernel, kernel2 = weight.shape
     if w_channels != channels or kernel != kernel2:
@@ -250,30 +265,23 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
     out_w = (width + 2 * padding - kernel) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError("conv2d: kernel larger than padded input")
-
-    padded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=x.dtype)
-    padded[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
-    cols = (
-        windows[:, ::stride, ::stride]
-        .transpose(0, 1, 2, 4, 5, 3)
-        .reshape(batch * out_h * out_w, kernel * kernel * channels)
-    )
     # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
     # them rather than have every node hold one
-    out2 = cols @ weight.transpose(0, 2, 3, 1).reshape(filters, -1).T
-    return out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2), cols
+    w2 = weight.transpose(0, 2, 3, 1).reshape(filters, -1)
+    out2 = _im2col(x, kernel, stride, padding, out_h, out_w) @ w2.T
+    return out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2)
 
 
-def _conv_backward(g, cols, weight, x_shape, stride, padding, need_dx, need_dw):
-    """(dx, dw) of :func:`_conv_forward` for the output gradient `g`; None where not needed."""
-    batch, channels, height, width = x_shape
+def _conv_backward(g, x, weight, stride, padding, need_dx, need_dw):
+    """(dx, dw) of :func:`_conv_forward` at the input `x` for the output gradient
+    `g`, None where not needed; dW's rebuilt im2col rows go before dX allocates."""
+    batch, channels, height, width = x.shape
     filters, _, kernel, _ = weight.shape
     out_h, out_w = g.shape[2:]
     g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
     dw = dx = None
     if need_dw:
-        dw2 = g2.T @ cols
+        dw2 = g2.T @ _im2col(x, kernel, stride, padding, out_h, out_w)
         dw = dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2)
     if need_dx:
         # one GEMM per kernel offset, so each block added is contiguous
@@ -301,17 +309,16 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     Shapes are NCHW, memory is NHWC: the output and the input gradient are
     transposed views of channels-last buffers, so batch norm and ReLU see
     activations and gradients in one layout. Any input layout is accepted.
-    The im2col rows are one copy of a strided sliding-window view of the
-    zero-padded NHWC input, in (kh, kw, C) column order; the input
-    gradient scatter-adds one contiguous [B, H_out, W_out, C] block per
-    kernel offset back into a padded NHWC buffer.
+    The node keeps its input, not its im2col rows (:func:`_im2col`): dW
+    rebuilds them, bit for bit, so the input, like the weights, must not be
+    written before backward. The input gradient scatter-adds one contiguous
+    [B, H_out, W_out, C] block per kernel offset back into a padded NHWC
+    buffer.
     """
-    out, cols = _conv_forward(x.data, weight.data, stride, padding)
+    out = _conv_forward(x.data, weight.data, stride, padding)
 
     def bw(g):
-        return _conv_backward(
-            g, cols, weight.data, x.data.shape, stride, padding, x.needs_grad, weight.needs_grad
-        )
+        return _conv_backward(g, x.data, weight.data, stride, padding, x.needs_grad, weight.needs_grad)
 
     return _node(out, (x, weight), bw)
 
@@ -427,11 +434,12 @@ def conv_bn_relu(
     nodes. Batch norm runs in the conv GEMM's own output buffer (x - mu,
     then xhat); the affine output goes to the variance's scratch buffer (a
     new one in eval mode) and ReLU runs in place on it, so the node saves
-    only the im2col rows, xhat, inv-std and y. When no graph is recorded
-    the affine output and ReLU run in place on xhat as well.
+    only xhat, inv-std and y; as in ``conv2d``, the input and the weights
+    must not be written before backward. When no graph is recorded the
+    affine output and ReLU run in place on xhat as well.
     """
     parents = (x, weight, gamma, beta)
-    conv, cols = _conv_forward(x.data, weight.data, stride, padding)
+    conv = _conv_forward(x.data, weight.data, stride, padding)
     xhat, inv4, square = _bn_normalize(
         conv, running_mean, running_var, training, momentum, eps, update_running, out=conv
     )
@@ -449,9 +457,7 @@ def conv_bn_relu(
         )
         dx = dw = None
         if need_conv:
-            dx, dw = _conv_backward(
-                dconv, cols, weight.data, x.data.shape, stride, padding, x.needs_grad, weight.needs_grad
-            )
+            dx, dw = _conv_backward(dconv, x.data, weight.data, stride, padding, x.needs_grad, weight.needs_grad)
         return dx, dw, dgamma, dbeta
 
     return _node(y, parents, bw)

@@ -3,7 +3,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from ccaps.knn import (
 )
 from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.train import TrainConfig, network_from_record, train
+from tracemem import traced_bytes
 
 THIN_MODEL = ModelConfig(
     conv_channels=(4, 8, 16),
@@ -245,22 +245,12 @@ def test_a_call_gives_the_real_openblas_its_thread_count_back():
     assert blas.thread_count() == before
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes that numpy and Python allocate while `fn` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_knn_call_allocates_little_beyond_the_similarity_block():
     features = _unit_rows(20_000, 64, 25).astype(np.float32)
     bank = FeatureBank(features, np.arange(20_000) % 10)
     h = _unit_rows(512, 64, 26).astype(np.float32)
     sim_bytes = 512 * 20_000 * 4
-    peak = _traced_peak(lambda: weighted_knn_predict(h, bank, EvalConfig()))
+    peak = traced_bytes(lambda: weighted_knn_predict(h, bank, EvalConfig()))[1]
     assert peak <= 1.25 * sim_bytes, peak / sim_bytes
 
 
@@ -269,7 +259,7 @@ def test_similarities_take_a_block_per_worker_not_the_whole_bank(monkeypatch):
     bank = FeatureBank(_unit_rows(m, 16, 51).astype(np.float32), np.arange(m) % 10)
     h = _unit_rows(q, 16, 52).astype(np.float32)
     _fake_blas(monkeypatch, 2)
-    peak = _traced_peak(lambda: weighted_knn_predict(h, bank, EvalConfig()))
+    peak = traced_bytes(lambda: weighted_knn_predict(h, bank, EvalConfig()))[1]
     # two [512, 6,250] buffers and 8 x 200 candidates a query: ~43 MB, where
     # one [512, 50,000] similarity block alone is 102 MB
     assert peak <= 0.5 * q * m * 4, peak / (q * m * 4)
@@ -278,7 +268,7 @@ def test_similarities_take_a_block_per_worker_not_the_whole_bank(monkeypatch):
 def test_bank_check_copies_nothing_the_size_of_the_bank():
     features = _unit_rows(20_000, 64, 27).astype(np.float32)
     labels = np.arange(20_000) % 10
-    peak = _traced_peak(lambda: FeatureBank(features, labels))
+    peak = traced_bytes(lambda: FeatureBank(features, labels))[1]
     assert peak <= 0.1 * features.nbytes, peak / features.nbytes
 
 

@@ -7,17 +7,24 @@ running statistics, in train mode, in eval mode with a recorded graph and
 in eval mode under ``no_grad``. In float64 each node's gradients are
 checked against finite differences, and a view through the nodes must
 peak in memory well below the same view through the chain.
+
+A conv node keeps its input, not its im2col rows, and rebuilds the rows
+from that input for dW: the rebuilt rows must be the forward's, no conv
+input may be written between forward and backward (in a threaded training
+step too), and a view's graph must not hold the rows.
 """
 
-import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from ccaps import autodiff, blas, train
 from ccaps.autodiff import Tensor, class_capsules, concat, conv_bn_relu, no_grad, squash
 from ccaps.model import CapsuleNetwork, ModelConfig
 from forward_reference import chain_class_caps, chain_forward, chain_layer
 from gradcheck import check_grad
+from tracemem import traced_bytes
 
 # odd sizes, two stride-2 layers, a 3x3 capsule grid
 ODD = ModelConfig(
@@ -194,10 +201,73 @@ def test_a_view_through_the_nodes_peaks_ten_percent_below_the_chain():
     peaks = {}
     for name, forward in (("nodes", CapsuleNetwork.forward), ("chain", chain_forward)):
         net = CapsuleNetwork(ModelConfig(), seed=0)
-        tracemalloc.start()
-        try:
-            forward(net, x, "train", 3).z.backward(g)
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[name] = traced_bytes(lambda: forward(net, x, "train", 3).z.backward(g))[1]
     assert peaks["nodes"] <= 0.9 * peaks["chain"], peaks
+
+
+def test_a_view_graph_holds_its_conv_inputs_not_their_im2col_rows():
+    # at batch 16 the graph holds 13.5 MiB, and the seven convs' im2col
+    # rows would add 14.2 MiB more
+    config, batch = ModelConfig(), 16
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(batch, config.in_channels, config.image_size, config.image_size)).astype(np.float32)
+    net = CapsuleNetwork(config, seed=0)
+    with blas.split(blas.thread_count()):  # one OpenBLAS thread
+        held, _ = traced_bytes(lambda: net.forward(x, "train", 3))
+    assert held < 20 * 2**20, held / 2**20
+
+
+# -- the conv input, saved for backward ------------------------------------------
+
+
+@pytest.mark.parametrize("config, batch", CASES)
+def test_each_saved_conv_input_rebuilds_the_forward_im2col_rows(config, batch, monkeypatch):
+    calls = []  # (input, the other arguments, rows) of every im2col, in call order
+    im2col = autodiff._im2col
+
+    def recording_im2col(x, *args):
+        rows = im2col(x, *args)
+        calls.append((x, args, rows))
+        return rows
+
+    monkeypatch.setattr(autodiff, "_im2col", recording_im2col)
+    net = _network(config)
+    rng = np.random.default_rng(14)
+    size = config.image_size
+    out = net.forward(rng.normal(size=(batch, config.in_channels, size, size)).astype(np.float32), "train", 3)
+    forward = list(calls)
+    convs = len(config.conv_strides) + 1  # the conv-block layers and PrimaryCaps
+    assert len(forward) == convs
+    out.z.backward(rng.normal(size=out.z.shape).astype(np.float32))
+    rebuilt = calls[convs:]
+    assert len(rebuilt) == convs  # every conv's dW
+    for x, args, rows in rebuilt:
+        (saved,) = [(a, r) for y, a, r in forward if y is x]
+        assert saved[0] == args and _same_bits(rows, saved[1]), args
+
+
+def test_no_conv_input_is_written_between_forward_and_backward(monkeypatch):
+    saved = {}  # id of each conv input -> (the input, a copy made at forward)
+    read = []  # whether each conv backward found its input's forward bytes
+    conv_forward, conv_backward = autodiff._conv_forward, autodiff._conv_backward
+
+    def copying_forward(x, *args):
+        saved[id(x)] = (x, x.copy())
+        return conv_forward(x, *args)
+
+    def checking_backward(g, x, *args):
+        kept, copy = saved[id(x)]
+        read.append(kept is x and _same_bits(x, copy))
+        return conv_backward(g, x, *args)
+
+    monkeypatch.setattr(autodiff, "_conv_forward", copying_forward)
+    monkeypatch.setattr(autodiff, "_conv_backward", checking_backward)
+    config = train.TrainConfig()
+    net = CapsuleNetwork(config.model, seed=0)
+    adam = train.Adam(net.trainable(), config.learning_rate, config.weight_decay)
+    rng = np.random.default_rng(15)
+    views = rng.normal(size=(2, 16, 3, 32, 32)).astype(np.float32)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        loss, ahead = train._train_step(net, adam, config, None, views, 1, 0, pool, None)
+    assert np.isfinite(loss) and ahead is None
+    assert len(saved) == 14 and read == [True] * 14  # seven convs in each of two views

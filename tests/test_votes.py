@@ -9,14 +9,13 @@ routing reads the votes as they are, so a view's forward peaks at most a
 little above the graph it leaves.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from ccaps import blas
 from ccaps.autodiff import Tensor, capsule_votes, class_capsules, routing_by_agreement
 from ccaps.model import CapsuleNetwork, ModelConfig
+from tracemem import traced_bytes
 from votes_reference import reference_class_capsules
 
 # (B, M, P, D_in, D_out): the default model at three batches, then odd sizes
@@ -70,11 +69,5 @@ def test_a_view_forward_peaks_less_than_half_a_vote_array_above_its_graph():
     votes_bytes = batch * config.num_classes * config.num_primary_capsules * config.class_capsule_dim * 4
     net = CapsuleNetwork(config, seed=0)
     with blas.split(blas.thread_count()):  # one OpenBLAS thread
-        tracemalloc.start()
-        try:
-            out = net.forward(x, "train", 3)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert out.z.shape == (batch, config.embedding_dim)
+        held, peak = traced_bytes(lambda: net.forward(x, "train", 3))
     assert peak - held < votes_bytes / 2, (peak, held, votes_bytes)
