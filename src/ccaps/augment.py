@@ -26,6 +26,7 @@ probability 0.8, grayscale 0.2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class AugmentConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if any(s < 0 for s in self.jitter_strengths):
-            raise ValueError("jitter strengths must be non-negative")
+        if not all(s >= 0 and math.isfinite(s) for s in self.jitter_strengths):
+            raise ValueError(f"jitter strengths must be non-negative and finite, got {self.jitter_strengths}")
 
 
 def two_views(image: np.ndarray, config: AugmentConfig, rng: np.random.Generator):

@@ -1,7 +1,9 @@
 """Command-line interface: fetch, train, eval, profile, plot.
 
 Every run is reconstructable from one flat key=value config file; command
-line flags mirror the config keys and override them. The CIFAR-10 data
+line flags mirror the config keys and override them. `eval` scores with
+the same kNN recipe as training's eval hook, so `eval --config run.cfg`
+reproduces the top-1/top-5 the run reported. The CIFAR-10 data
 root can also come from the CCAPS_DATA_DIR environment variable. Commands
 exit 0 on success, 1 on failure, 3 when training stops on a non-finite loss
 or gradient (the error names the epoch and batch; the last completed
@@ -21,6 +23,7 @@ import signal
 import sys
 import tarfile
 import tempfile
+import time
 import urllib.request
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -57,15 +60,6 @@ class CliError(Exception):
 
 
 # -- run-config file -----------------------------------------------------------
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 # The run settings are the fields of TrainConfig and its AugmentConfig under
@@ -113,15 +107,9 @@ def _train_config(settings: dict) -> TrainConfig:
     return build(TrainConfig, augment=build(AugmentConfig))
 
 
-def _parser_for(default):
-    if isinstance(default, bool):
-        return _parse_bool
-    return str if default is None else type(default)
-
-
 _DEFAULTS = {**_flat_settings(TrainConfig()), **_RUN_DEFAULTS}
 # every documented config key with its parser; unknown keys are rejected
-CONFIG_KEYS = {key: _parser_for(default) for key, default in _DEFAULTS.items()}
+CONFIG_KEYS = {key: str if default is None else type(default) for key, default in _DEFAULTS.items()}
 
 
 def parse_run_config(path: str | Path) -> dict:
@@ -173,6 +161,19 @@ def _require_data_dir(settings: dict) -> Path:
     if not path.exists():
         raise CliError(f"dataset directory {path} does not exist; run `ccaps fetch` first")
     return path
+
+
+def _knn_inputs(settings: dict, train_split, test_split):
+    """The one kNN recipe of `train`'s eval hook and of `eval`: (bank, queries, EvalConfig).
+
+    The bank is the first `subset` train records and the queries the first
+    `eval_test_subset` test records (all of a split for 0); k is `knn_k`,
+    at most the bank's size, at the settings' temperature.
+    """
+    bank = train_split.take(settings["subset"]) if settings["subset"] else train_split
+    queries = test_split.take(settings["eval_test_subset"]) if settings["eval_test_subset"] else test_split
+    cfg = EvalConfig(k=min(settings["knn_k"], len(bank)), temperature=settings["temperature"])
+    return bank, queries, cfg
 
 
 # -- locking -------------------------------------------------------------------
@@ -303,33 +304,30 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(format_profile(config.model))
         return 0
 
+    checkpoint_dir = Path(settings["checkpoint_dir"])
+    metrics_path = Path(settings["metrics_path"] or checkpoint_dir / "metrics.csv")
+    # the CSV is written before final.ckpt, so a path it cannot take would lose the run
+    metrics_dir = metrics_path.parent
+    writable = metrics_dir == checkpoint_dir or (metrics_dir.is_dir() and os.access(metrics_dir, os.W_OK))
+    if metrics_path.is_dir() or not writable:
+        raise CliError(f"cannot write metrics to {metrics_path}: it must name a file in a writable directory")
+
     data_dir = _require_data_dir(settings)
-    train_split, test_split = load_cifar10_binary(data_dir)
-    if settings["subset"]:
-        train_split = train_split.take(settings["subset"])
+    # the run trains on its kNN bank: the first `subset` train records
+    train_split, queries, knn_cfg = _knn_inputs(settings, *load_cifar10_binary(data_dir))
 
     eval_hook = None
     if config.eval_every:
-        test_eval = (
-            test_split.take(settings["eval_test_subset"])
-            if settings["eval_test_subset"]
-            else test_split
-        )
-        knn_cfg = EvalConfig(
-            k=min(settings["knn_k"], len(train_split)), temperature=config.temperature
-        )
 
         def eval_hook(record, epoch):
             net, stats, _ = network_from_record(record)
-            result = evaluate(net, train_split, test_eval, stats, knn_cfg)
+            result = evaluate(net, train_split, queries, stats, knn_cfg)
             return result.top1, result.top5
 
     resume_from = None
     if args.resume:
         resume_from = CheckpointRecord.load(args.resume)
 
-    checkpoint_dir = Path(settings["checkpoint_dir"])
-    metrics_path = Path(settings["metrics_path"] or checkpoint_dir / "metrics.csv")
     if args.paper_scale:
         print(
             f"paper-scale recipe: {config.epochs} epochs at batch {config.batch_size} "
@@ -337,15 +335,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     def progress(row):
+        nonlocal clock
         extra = ""
         if row.top1 is not None:
             extra = f"  top1 {row.top1:.2f}%  top5 {row.top5:.2f}%"
-        print(f"epoch {row.epoch}  loss {row.loss:.6f}{extra}", flush=True)
+        now = time.perf_counter()
+        print(f"epoch {row.epoch}  loss {row.loss:.6f}{extra}  {now - clock:.1f}s", flush=True)
+        clock = now
 
     # SIGTERM (preemption) takes the Ctrl-C path: final checkpoint, exit 130
     previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         with DirectoryLock(checkpoint_dir):
+            clock = time.perf_counter()
             result = train(
                 config,
                 train_split,
@@ -371,18 +373,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     record = CheckpointRecord.load(args.checkpoint)
     net, stats, train_config = network_from_record(record)
-    # the checkpoint's training values (temperature) replace the defaults
-    settings = _resolve_settings(args, {**_DEFAULTS, **_flat_settings(train_config)})
+    # the checkpoint's training values (temperature) replace the defaults;
+    # without a config file or flag, eval scores the whole test split
+    base = {**_DEFAULTS, **_flat_settings(train_config), "eval_test_subset": 0}
+    settings = _resolve_settings(args, base)
 
     data_dir = _require_data_dir(settings)
-    train_split, test_split = load_cifar10_binary(data_dir)
-    memory = train_split.take(args.memory_subset) if args.memory_subset else train_split
-    test = test_split.take(args.test_subset) if args.test_subset else test_split
-
-    cfg = EvalConfig(k=min(settings["knn_k"], len(memory)), temperature=settings["temperature"])
-    result = evaluate(net, memory, test, stats, cfg)
+    bank, queries, cfg = _knn_inputs(settings, *load_cifar10_binary(data_dir))
+    result = evaluate(net, bank, queries, stats, cfg)
     print(
-        f"weighted kNN over {len(memory)} bank rows, {result.total} queries "
+        f"weighted kNN over {len(bank)} bank rows, {result.total} queries "
         f"(k={result.k}, temperature={result.temperature}):"
     )
     print(f"top-1 accuracy: {result.top1:.2f}%  ({result.correct1}/{result.total})")
@@ -420,13 +420,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _add_setting_flag(parser: argparse.ArgumentParser, key: str, help: str | None = None) -> None:
-    """`--key-name` for a config key; a bool key also gets `--non-key-name`."""
-    flag = "--" + key.replace("_", "-")
-    if CONFIG_KEYS[key] is _parse_bool:
-        parser.add_argument(flag, dest=key, action="store_true", default=None, help=help)
-        parser.add_argument("--non-" + flag[2:], dest=key, action="store_false")
-    else:
-        parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key], help=help)
+    """`--key-name` for a config key."""
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key], help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--config", help="run-config file")
     for key in ("data_dir", "knn_k", "temperature"):
         _add_setting_flag(ev, key)
-    ev.add_argument("--memory-subset", type=int, help="bank rows (default: full train split)")
-    ev.add_argument("--test-subset", type=int, help="queries (default: full test split)")
+    _add_setting_flag(ev, "subset", "bank: the first N train records (default: 0, all)")
+    _add_setting_flag(ev, "eval_test_subset", "queries: the first N test records (default: 0, all)")
     ev.add_argument("--csv-out", help="append the report as a CSV row")
     ev.set_defaults(func=cmd_eval)
 
@@ -492,6 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         MetricsError,
         PlotError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -44,9 +44,8 @@ it kept does not raise the peak memory of what runs next.
 Determinism: model init, epoch shuffles, and per-image augmentation all
 draw from streams derived from (seed, stream id, epoch, image index), so
 identical configs replay identical runs, and resuming from an epoch
-checkpoint continues bit-for-bit as if uninterrupted. In deterministic
-mode the metrics CSV records 0.0 seconds per epoch so the file itself is
-byte-reproducible.
+checkpoint continues bit-for-bit as if uninterrupted. The metrics CSV
+holds no wall-clock field, so the file itself is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import contextvars
 import ctypes
 import functools
 import math
-import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -114,7 +112,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 0  # epochs between snapshots; 0 = final only
     eval_every: int = 0  # epochs between kNN evaluations; 0 = never
-    deterministic: bool = True
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -140,14 +137,14 @@ class TrainConfig:
     def from_dict(cls, data: dict) -> "TrainConfig":
         """Inverse of :func:`dataclasses.asdict`, also for a dict read back from JSON.
 
-        A stored ``augment.seed`` (a removed field) is dropped. Any other
-        missing or unknown key, or a value the configs reject, raises
-        :class:`CheckpointError`.
+        A stored ``deterministic`` or ``augment.seed`` (removed fields) is
+        dropped. Any other missing or unknown key, or a value the configs
+        reject, raises :class:`CheckpointError`.
         """
         try:
-            kwargs = _field_values(cls, data, "config")
-            augment = {k: v for k, v in dict(kwargs["augment"]).items() if k != "seed"}
-            kwargs["augment"] = AugmentConfig(**_field_values(AugmentConfig, augment, "config.augment"))
+            kwargs = _field_values(cls, data, "config", dropped=("deterministic",))
+            augment = _field_values(AugmentConfig, kwargs["augment"], "config.augment", dropped=("seed",))
+            kwargs["augment"] = AugmentConfig(**augment)
             kwargs["model"] = ModelConfig(**_field_values(ModelConfig, kwargs["model"], "config.model"))
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -156,12 +153,12 @@ class TrainConfig:
     def trajectory_dict(self) -> dict:
         """The fields that determine the numeric trajectory of a run.
 
-        Operational fields (total epochs, checkpoint/eval cadence, the
-        deterministic timing flag) do not change any computed step, so a
-        resumed run may alter them; everything else must match.
+        Operational fields (total epochs, checkpoint/eval cadence) do not
+        change any computed step, so a resumed run may alter them;
+        everything else must match.
         """
         d = asdict(self)
-        for key in ("epochs", "checkpoint_every", "eval_every", "deterministic"):
+        for key in ("epochs", "checkpoint_every", "eval_every"):
             d.pop(key)
         return d
 
@@ -169,23 +166,24 @@ class TrainConfig:
         return config_hash(self.trajectory_dict())
 
 
-def _field_values(cls, data, where: str) -> dict:
-    """`data` as keyword arguments for `cls`; it must name every field and no other."""
+def _field_values(cls, data, where: str, dropped=()) -> dict:
+    """`data` without its `dropped` keys as keyword arguments for `cls`; it
+    must name every field and no other."""
     if not isinstance(data, dict):
         raise CheckpointError(f"stored {where} is not a mapping")
+    data = {k: v for k, v in data.items() if k not in dropped}
     names = {f.name for f in fields(cls)}
     problems = [f"no {k!r} key" for k in sorted(names - set(data))]
     problems += [f"unknown key {k!r}" for k in sorted(set(data) - names)]
     if problems:
         raise CheckpointError(f"stored {where}: {', '.join(problems)}")
-    return dict(data)
+    return data
 
 
 @dataclass
 class MetricsRow:
     epoch: int
     loss: float
-    seconds: float
     top1: float | None = None
     top5: float | None = None
 
@@ -512,7 +510,7 @@ def train(
     try:
         step = next(steps)
         ahead = pool.submit(_two_view_batch, step, config, stats)
-        t0, batch_losses = time.perf_counter(), []
+        batch_losses = []
         while step is not None:
             epoch, batch_index, _ = step
             step = next(steps, None)
@@ -522,11 +520,7 @@ def train(
             batch_losses.append(loss)
             if step is not None and step[0] == epoch:
                 continue
-            row = MetricsRow(
-                epoch=epoch,
-                loss=float(np.mean(batch_losses)),
-                seconds=0.0 if config.deterministic else time.perf_counter() - t0,
-            )
+            row = MetricsRow(epoch=epoch, loss=float(np.mean(batch_losses)))
             record = _build_record(net, adam, stats, config, epoch)
             if eval_hook is not None and config.eval_every and epoch % config.eval_every == 0:
                 row.top1, row.top5 = eval_hook(record, epoch)
@@ -540,7 +534,7 @@ def train(
             ):
                 write_metrics()  # first, so no checkpoint holds an epoch the CSV lacks
                 record.save(checkpoint_dir / f"epoch_{epoch:04d}.ckpt")
-            t0, batch_losses = time.perf_counter(), []
+            batch_losses = []
     except (KeyboardInterrupt, TrainingError) as exc:
         if record is None:
             raise  # nothing completed yet, nothing worth writing
@@ -560,7 +554,9 @@ def train(
 
 # -- metrics CSV ---------------------------------------------------------------
 
-METRICS_HEADER = "epoch,loss,seconds,top1,top5"
+METRICS_HEADER = "epoch,loss,top1,top5"
+# the header of files written while rows had a wall-clock column; it is read and dropped
+_SECONDS_HEADER = "epoch,loss,seconds,top1,top5"
 
 
 class MetricsError(Exception):
@@ -572,30 +568,31 @@ def write_metrics_csv(path: str | Path, rows: list[MetricsRow]) -> Path:
     for row in rows:
         top1 = "" if row.top1 is None else f"{row.top1:.2f}"
         top5 = "" if row.top5 is None else f"{row.top5:.2f}"
-        lines.append(f"{row.epoch},{row.loss!r},{row.seconds:.3f},{top1},{top5}")
+        lines.append(f"{row.epoch},{row.loss!r},{top1},{top5}")
     return write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
+    if not lines or lines[0] not in (METRICS_HEADER, _SECONDS_HEADER):
         raise MetricsError(f"{path}: line 1: expected header {METRICS_HEADER!r}")
+    columns = lines[0].split(",")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 5:
-            raise MetricsError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
+        if len(parts) != len(columns):
+            raise MetricsError(f"{path}: line {lineno}: expected {len(columns)} fields, got {len(parts)}")
+        epoch, loss, top1, top5 = (part for name, part in zip(columns, parts) if name != "seconds")
         try:
             rows.append(
                 MetricsRow(
-                    epoch=int(parts[0]),
-                    loss=float(parts[1]),
-                    seconds=float(parts[2]),
-                    top1=float(parts[3]) if parts[3] else None,
-                    top5=float(parts[4]) if parts[4] else None,
+                    epoch=int(epoch),
+                    loss=float(loss),
+                    top1=float(top1) if top1 else None,
+                    top5=float(top5) if top5 else None,
                 )
             )
         except ValueError as exc:

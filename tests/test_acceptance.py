@@ -291,7 +291,7 @@ def test_c8_smoke_training_improves_knn(small_data_dir):
     train_split, test_split = load_cifar10_binary(small_data_dir)
     subset = train_split.take(512)
     held_out = test_split.take(1000)
-    config = TrainConfig(epochs=50, batch_size=64, seed=0, deterministic=True)
+    config = TrainConfig(epochs=50, batch_size=64, seed=0)
     knn_cfg = EvalConfig(k=20, temperature=config.temperature)
 
     stats = compute_normalization_stats(subset.without_labels())
@@ -331,7 +331,7 @@ def test_c9_determinism_and_resume(small_data_dir, tmp_path):
     def config(epochs, checkpoint_every=0):
         return TrainConfig(
             epochs=epochs, batch_size=16, seed=9, model=thin,
-            checkpoint_every=checkpoint_every, deterministic=True,
+            checkpoint_every=checkpoint_every,
         )
 
     # identical seeds, identical csv bytes

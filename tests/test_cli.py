@@ -2,12 +2,16 @@
 
 import hashlib
 import io
+import math
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
 import tarfile
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +24,16 @@ from ccaps.cli import (
     _DEFAULTS,
     CONFIG_KEYS,
     DirectoryLock,
+    _TUPLE_KEYS,
     _flat_settings,
-    _parse_bool,
     _resolve_settings,
     _train_config,
     build_parser,
     main,
     parse_run_config,
 )
+from ccaps.checkpoint import CheckpointError
+from ccaps.model import ModelConfig
 from ccaps.train import CheckpointRecord, TrainConfig, read_metrics_csv
 from synth import make_archive, write_synthetic_cifar
 
@@ -120,7 +126,6 @@ def test_parse_run_config_values_and_comments(tmp_path):
         "# smoke settings\n"
         "epochs = 2\n"
         "batch_size = 16   # small\n"
-        "deterministic = true\n"
         "learning_rate = 1e-3\n"
         "crop_scale_min = 0.5\n"
     )
@@ -128,7 +133,6 @@ def test_parse_run_config_values_and_comments(tmp_path):
     assert values == {
         "epochs": 2,
         "batch_size": 16,
-        "deterministic": True,
         "learning_rate": 1e-3,
         "crop_scale_min": 0.5,
     }
@@ -142,6 +146,11 @@ def test_parse_run_config_rejects_unknown_key(tmp_path):
     with pytest.raises(CliError, match=r"line 2: unknown config key 'bogus_key'"):
         parse_run_config(cfg)
 
+    # a removed setting is an unknown key like any other
+    cfg.write_text("epochs = 2\ndeterministic = true\n")
+    with pytest.raises(CliError, match=r"line 2: unknown config key 'deterministic'"):
+        parse_run_config(cfg)
+
 
 def test_parse_run_config_reports_bad_value_line(tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -153,16 +162,13 @@ def test_parse_run_config_reports_bad_value_line(tmp_path):
 
 
 def test_every_flagged_key_is_documented(tmp_path, monkeypatch):
-    # every config key reaches the resolver from its train flag and from a
-    # config file alike, and lands in its own TrainConfig field
+    # the README's key list names every config key, each once; every key
+    # reaches the resolver from its train flag and from a config file alike,
+    # and lands in its own TrainConfig field
     monkeypatch.delenv("CCAPS_DATA_DIR", raising=False)
-    assert sorted(CONFIG_KEYS) == sorted(
-        "data_dir checkpoint_dir metrics_path temperature routing_iterations epochs "
-        "batch_size learning_rate weight_decay seed checkpoint_every eval_every "
-        "eval_test_subset deterministic subset knn_k crop_scale_min crop_scale_max "
-        "flip_probability jitter_brightness jitter_contrast jitter_saturation jitter_hue "
-        "jitter_probability grayscale_probability".split()
-    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (listed,) = re.findall(r"^Keys: (.*?)\.$", readme, re.M | re.S)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(CONFIG_KEYS)
     parser = build_parser()
     defaults = _resolve_settings(parser.parse_args(["train"]), _DEFAULTS)
     assert _train_config(defaults) == TrainConfig()
@@ -177,17 +183,13 @@ def test_every_flagged_key_is_documented(tmp_path, monkeypatch):
     config_defaults = _flat_settings(TrainConfig())
     for key, parse in CONFIG_KEYS.items():
         # a valid value that differs from the default
-        if parse is _parse_bool:
-            value = not defaults[key]
-            flags = ["--" + ("" if value else "non-") + key.replace("_", "-")]
+        if parse is str:
+            value = f"dir/{key}"
+        elif parse is int:
+            value = defaults[key] + 3
         else:
-            if parse is str:
-                value = f"dir/{key}"
-            elif parse is int:
-                value = defaults[key] + 3
-            else:
-                value = defaults[key] / 2
-            flags = ["--" + key.replace("_", "-"), str(value)]
+            value = defaults[key] / 2
+        flags = ["--" + key.replace("_", "-"), str(value)]
         from_flag = _resolve_settings(parser.parse_args(["train", *flags]), _DEFAULTS)
         assert from_flag == {**defaults, key: value}, key
 
@@ -291,6 +293,32 @@ def test_cli_train_rejects_a_negative_subset(small_data_dir, tmp_path, capsys):
     assert rc == 1
     assert "non-negative" in capsys.readouterr().err
     assert not (ckpt / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("metrics", ["missing/dir/m.csv", "file/dir/m.csv", "directory"])
+def test_cli_train_refuses_a_metrics_path_it_cannot_write_before_training(
+    small_data_dir, tmp_path, capsys, metrics
+):
+    # the CSV is written before final.ckpt: a path found bad at the end lost the run
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "directory").mkdir()
+    metrics = tmp_path / metrics
+    ckpt = tmp_path / "ckpt"
+    rc = main([*_small_train_args(small_data_dir, ckpt), "--metrics-path", str(metrics)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and str(metrics) in captured.err, captured.err
+    assert "epoch" not in captured.out and not ckpt.exists()
+
+
+def test_cli_train_checkpoint_dir_naming_a_file_fails_cleanly(small_data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    ckpt.write_text("not a directory\n")
+    rc = main(_small_train_args(small_data_dir, ckpt))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and str(ckpt) in captured.err, captured.err
+    assert "epoch" not in captured.out and ckpt.read_text() == "not a directory\n"
 
 
 def test_cli_train_lock_blocks_concurrent_runs(small_data_dir, tmp_path, capsys):
@@ -397,8 +425,8 @@ def test_cli_eval_reports_k_and_temperature(cli_run, small_data_dir, capsys):
             "eval",
             "--checkpoint", str(out / "ckpt" / "final.ckpt"),
             "--data-dir", str(small_data_dir),
-            "--memory-subset", "64",
-            "--test-subset", "50",
+            "--subset", "64",
+            "--eval-test-subset", "50",
             "--knn-k", "8",
             "--csv-out", str(out / "eval.csv"),
         ]
@@ -421,8 +449,8 @@ def test_cli_eval_temperature_flag_over_file_over_checkpoint(small_data_dir, tmp
         "eval",
         "--checkpoint", str(ckpt / "final.ckpt"),
         "--data-dir", str(small_data_dir),
-        "--memory-subset", "32",
-        "--test-subset", "20",
+        "--subset", "32",
+        "--eval-test-subset", "20",
         "--knn-k", "5",
     ]
     capsys.readouterr()
@@ -479,6 +507,38 @@ def test_cli_train_refuses_a_bad_rate_before_training(small_data_dir, tmp_path, 
     assert "epoch" not in captured.out and not ckpt.exists()
 
 
+def _stored_config_with(key: str, value) -> dict:
+    """The default TrainConfig as a stored dict, with the field or tuple
+    component behind config key `key` set to `value`."""
+    stored = asdict(TrainConfig())
+    for name, components in _TUPLE_KEYS.items():
+        if key in components:
+            values = list(stored["augment"][name])
+            values[components.index(key)] = value
+            stored["augment"][name] = values
+            return stored
+    (stored if key in stored else stored["augment"])[key] = value
+    return stored
+
+
+_FLOAT_KEYS = [key for key, value in _flat_settings(TrainConfig()).items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_every_float_setting_refuses_a_non_finite_value(key, value, capsys):
+    stored = _stored_config_with(key, value)
+    with pytest.raises(ValueError):  # in the constructor
+        augment = AugmentConfig(**stored["augment"])
+        TrainConfig(**{**stored, "augment": augment, "model": ModelConfig(**stored["model"])})
+    with pytest.raises(CheckpointError):  # from a stored config
+        TrainConfig.from_dict(stored)
+    rc = main(["train", "--dry-run", f"--{key.replace('_', '-')}={value}"])  # from the CLI
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:"), captured.err
+    assert "config valid" not in captured.out
+
+
 def test_cli_checkpoint_missing_a_record_key_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys):
     _, out = cli_run
     record = CheckpointRecord.load(out / "ckpt" / "final.ckpt")
@@ -526,6 +586,33 @@ def test_cli_resume_continues_run(cli_run, small_data_dir, tmp_path, capsys):
     assert rc == 0
     record = CheckpointRecord.load(tmp_path / "resumed" / "final.ckpt")
     assert record.epoch == 3
+
+
+def test_artifacts_of_a_run_with_a_seconds_column_resume_evaluate_and_plot(small_data_dir, tmp_path):
+    # what a run wrote while rows had a wall-clock column and TrainConfig a
+    # `deterministic` field: a five-column CSV and a checkpoint storing the key
+    straight, old = tmp_path / "straight", tmp_path / "old"
+    two_epochs = ["--epochs", "2", "--checkpoint-every", "1"]
+    assert main([*_small_train_args(small_data_dir, straight), *two_epochs]) == 0
+    first = read_metrics_csv(straight / "metrics.csv")[0]
+    old.mkdir()
+    (old / "metrics.csv").write_text(f"epoch,loss,seconds,top1,top5\n1,{first.loss!r},12.345,,\n")
+    shutil.copyfile(old / "metrics.csv", tmp_path / "old.csv")
+    record = CheckpointRecord.load(straight / "epoch_0001.ckpt")
+    meta = {**record.meta, "config": {**record.meta["config"], "deterministic": False}}
+    CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / "old.ckpt")
+
+    resume = ["--resume", str(tmp_path / "old.ckpt")]
+    assert main([*_small_train_args(small_data_dir, old), *two_epochs, *resume]) == 0
+    a = CheckpointRecord.load(straight / "final.ckpt").arrays
+    b = CheckpointRecord.load(old / "final.ckpt").arrays
+    assert sorted(a) == sorted(b) and all(np.array_equal(a[k], b[k]) for k in a)
+    assert (old / "metrics.csv").read_bytes() == (straight / "metrics.csv").read_bytes()
+
+    evaluate = ["eval", "--checkpoint", str(tmp_path / "old.ckpt"), "--data-dir", str(small_data_dir)]
+    assert main([*evaluate, "--subset", "32", "--eval-test-subset", "20"]) == 0
+    assert main(["plot", "--metrics", str(tmp_path / "old.csv"), "--out", str(tmp_path / "plots")]) == 0
+    assert (tmp_path / "plots" / "loss.svg").exists()
 
 
 def test_cli_profile_prints_table_and_audit(capsys, tmp_path):
@@ -591,21 +678,18 @@ def test_full_pipeline_from_one_config_file(archive, tmp_path, capsys):
         "batch_size = 16\n"
         "subset = 48\n"
         "eval_every = 1\n"
-        "eval_test_subset = 20\n"
+        "eval_test_subset = 12\n"
         "knn_k = 5\n"
         "seed = 4\n"
     )
     assert main(["train", "--config", str(cfg)]) == 0
-    assert main(
-        [
-            "eval",
-            "--checkpoint", str(tmp_path / "run" / "final.ckpt"),
-            "--config", str(cfg),
-            "--memory-subset", "48",
-            "--test-subset", "20",
-            "--knn-k", "5",
-        ]
-    ) == 0
+    last = read_metrics_csv(tmp_path / "run" / "metrics.csv")[-1]
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "final.ckpt"), "--config", str(cfg)]) == 0
+    # the run's file gives eval the run's bank, queries and k: its in-loop numbers
+    out = capsys.readouterr().out
+    assert "over 48 bank rows, 12 queries (k=5" in out, out
+    assert f"top-1 accuracy: {last.top1:.2f}%" in out and f"top-5 accuracy: {last.top5:.2f}%" in out, out
     assert main(
         ["plot", "--metrics", str(tmp_path / "run" / "metrics.csv"), "--out", str(tmp_path / "plots")]
     ) == 0
@@ -624,7 +708,6 @@ def test_cli_smoke_example_two_epochs_subset_512(small_data_dir, tmp_path):
             "--epochs", "2",
             "--subset", "512",
             "--batch-size", "64",
-            "--deterministic",
         ]
     )
     assert rc == 0

@@ -53,8 +53,8 @@ def test_empty_series_is_error():
 
 def test_plot_metrics_csv_writes_three_files(tmp_path):
     rows = [
-        MetricsRow(epoch=1, loss=5.0, seconds=0.0, top1=10.0, top5=50.0),
-        MetricsRow(epoch=2, loss=4.5, seconds=0.0, top1=12.0, top5=55.0),
+        MetricsRow(epoch=1, loss=5.0, top1=10.0, top5=50.0),
+        MetricsRow(epoch=2, loss=4.5, top1=12.0, top5=55.0),
     ]
     csv = write_metrics_csv(tmp_path / "m.csv", rows)
     written = plot_metrics_csv(csv, tmp_path / "plots")
@@ -65,7 +65,7 @@ def test_plot_metrics_csv_writes_three_files(tmp_path):
 
 
 def test_plot_metrics_csv_skips_missing_metrics(tmp_path):
-    rows = [MetricsRow(epoch=1, loss=5.0, seconds=0.0), MetricsRow(epoch=2, loss=4.0, seconds=0.0)]
+    rows = [MetricsRow(epoch=1, loss=5.0), MetricsRow(epoch=2, loss=4.0)]
     csv = write_metrics_csv(tmp_path / "m.csv", rows)
     written = plot_metrics_csv(csv, tmp_path / "plots")
     assert [p.name for p in written] == ["loss.svg"]
@@ -79,9 +79,9 @@ def test_plot_empty_but_headed_csv_is_error(tmp_path):
 
 def test_plot_round_trip_matches_csv_values(tmp_path):
     rows = [
-        MetricsRow(epoch=1, loss=5.03972321, seconds=0.0, top1=11.11, top5=49.99),
-        MetricsRow(epoch=2, loss=4.5, seconds=0.0, top1=13.0, top5=52.5),
-        MetricsRow(epoch=3, loss=4.25, seconds=0.0, top1=14.5, top5=60.0),
+        MetricsRow(epoch=1, loss=5.03972321, top1=11.11, top5=49.99),
+        MetricsRow(epoch=2, loss=4.5, top1=13.0, top5=52.5),
+        MetricsRow(epoch=3, loss=4.25, top1=14.5, top5=60.0),
     ]
     csv = write_metrics_csv(tmp_path / "m.csv", rows)
     from ccaps.train import read_metrics_csv

@@ -53,7 +53,6 @@ def _config(**overrides) -> TrainConfig:
         batch_size=16,
         seed=3,
         model=THIN_MODEL,
-        deterministic=True,
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
@@ -267,9 +266,11 @@ def test_config_from_dict_refuses_an_out_of_range_value_with_a_checkpoint_error(
         TrainConfig.from_dict(stored)
 
 
-def test_config_from_dict_drops_the_removed_augment_seed():
-    # checkpoints written while AugmentConfig had a seed field still load
+def test_config_from_dict_drops_the_removed_fields():
+    # checkpoints written while TrainConfig had `deterministic` and
+    # AugmentConfig a seed field still load
     stored = asdict(TrainConfig())
+    stored["deterministic"] = True
     stored["augment"]["seed"] = 3
     assert TrainConfig.from_dict(stored) == TrainConfig()
 
@@ -278,9 +279,7 @@ def test_identical_seeds_identical_metrics_and_csv(train_subset, tmp_path):
     cfg = _config()
     a = train(cfg, train_subset, metrics_path=tmp_path / "a.csv")
     b = train(cfg, train_subset, metrics_path=tmp_path / "b.csv")
-    assert [(r.epoch, r.loss, r.seconds) for r in a.metrics] == [
-        (r.epoch, r.loss, r.seconds) for r in b.metrics
-    ]
+    assert [(r.epoch, r.loss) for r in a.metrics] == [(r.epoch, r.loss) for r in b.metrics]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -735,26 +734,24 @@ def test_eval_hook_cadence(train_subset):
 # -- metrics csv -------------------------------------------------------------------
 
 
-def test_non_deterministic_mode_records_wall_clock(train_subset):
-    result = train(_config(epochs=1, deterministic=False), train_subset)
-    assert result.metrics[0].seconds > 0.0
-
-    deterministic = train(_config(epochs=1), train_subset)
-    assert deterministic.metrics[0].seconds == 0.0
-
-
 def test_metrics_csv_round_trip(tmp_path):
     rows = [
-        MetricsRow(epoch=1, loss=4.125, seconds=0.0),
-        MetricsRow(epoch=2, loss=3.5, seconds=0.0, top1=12.34, top5=55.0),
+        MetricsRow(epoch=1, loss=4.125),
+        MetricsRow(epoch=2, loss=3.5, top1=12.34, top5=55.0),
     ]
     path = write_metrics_csv(tmp_path / "m.csv", rows)
     text = path.read_text()
-    assert text.splitlines()[0] == "epoch,loss,seconds,top1,top5"
+    assert text.splitlines()[0] == "epoch,loss,top1,top5"
     back = read_metrics_csv(path)
     assert back[0].top1 is None
     assert back[1].top1 == 12.34
     assert back[1].loss == 3.5
+    assert back == rows
+
+    # a file written while rows had a wall-clock column reads the same rows
+    old = tmp_path / "old.csv"
+    old.write_text("epoch,loss,seconds,top1,top5\n1,4.125,0.000,,\n2,3.5,12.625,12.34,55.00\n")
+    assert read_metrics_csv(old) == rows
 
 
 def test_metrics_csv_malformed_row_reports_line(tmp_path):
