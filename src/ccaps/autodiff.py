@@ -21,6 +21,8 @@ hand-derived backward whose closure saves only what that backward reads:
   (its output y) and ``concat`` (the split offsets);
 - ``conv2d``: nothing; at backward time it reads the weights and rebuilds
   the im2col rows from its input, so neither may be written before then;
+  its forward and its dX run one block of whole images at a time
+  (``_image_blocks``), so no whole batch's im2col rows exist outside dW;
 - ``batch_norm2d``: xhat and the inverse std;
 - ``conv_bn_relu``, one conv-block layer as one node: xhat, the inverse
   std and y (the input and weights are read as in ``conv2d``);
@@ -31,6 +33,8 @@ hand-derived backward whose closure saves only what that backward reads:
   [B, P, M, D] votes, and each iteration's couplings, pre-squash sums and
   poses;
 - ``class_capsules``, votes then routing as one node: what the two save.
+  Its backward writes the vote gradient into the votes' own buffer, in the
+  vote GEMM's [M, B, P, D] layout, so the vote backward copies nothing.
 
 The network runs ``conv_bn_relu`` and ``class_capsules``. They call the
 same forward and backward helpers as the single-op nodes, in the same
@@ -98,6 +102,10 @@ __all__ = [
 
 # Norms below this are treated as zero when a normalizing division is needed.
 _NORM_FLOOR = 1e-12
+
+# Most bytes of im2col rows (or of dX's per-offset blocks) a conv holds at
+# once in its forward and its dX; see :func:`_image_blocks`.
+_BLOCK_BYTES = 2 << 20
 
 _RECORDING = contextvars.ContextVar("ccaps_autodiff_recording", default=True)
 
@@ -255,8 +263,18 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, o
     )
 
 
+def _image_blocks(batch: int, image_bytes: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges of whole images: as few as keep a block within
+    _BLOCK_BYTES (or one image), evened out as ``knn`` evens out its bank
+    blocks, so no block is narrow."""
+    count = -(-batch // max(1, _BLOCK_BYTES // image_bytes))
+    edges = [batch * b // count for b in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """The conv output as an NCHW view of an NHWC buffer; the im2col rows go after the GEMM."""
+    """The conv output as an NCHW view of an NHWC buffer, one GEMM per block of
+    images (:func:`_image_blocks`) into that block's rows of the buffer."""
     batch, channels, height, width = x.shape
     filters, w_channels, kernel, kernel2 = weight.shape
     if w_channels != channels or kernel != kernel2:
@@ -268,52 +286,64 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) 
     # the (kh, kw, C)-ordered weights are a copy; the backward rebuilds
     # them rather than have every node hold one
     w2 = weight.transpose(0, 2, 3, 1).reshape(filters, -1)
-    out2 = _im2col(x, kernel, stride, padding, out_h, out_w) @ w2.T
-    return out2.reshape(batch, out_h, out_w, filters).transpose(0, 3, 1, 2)
+    out = np.empty((batch, out_h, out_w, filters), dtype=np.result_type(x, weight))
+    for lo, hi in _image_blocks(batch, out_h * out_w * w2.shape[1] * x.itemsize):
+        rows = _im2col(x[lo:hi], kernel, stride, padding, out_h, out_w)
+        np.matmul(rows, w2.T, out=out[lo:hi].reshape(-1, filters))
+    return out.transpose(0, 3, 1, 2)
 
 
 def _conv_backward(g, x, weight, stride, padding, need_dx, need_dw):
     """(dx, dw) of :func:`_conv_forward` at the input `x` for the output gradient
-    `g`, None where not needed; dW's rebuilt im2col rows go before dX allocates."""
+    `g`, None where not needed. dW is one GEMM over the whole batch's rebuilt
+    im2col rows, which go before dX runs its GEMMs and scatter one block of
+    images at a time."""
     batch, channels, height, width = x.shape
     filters, _, kernel, _ = weight.shape
     out_h, out_w = g.shape[2:]
     g2 = g.transpose(0, 2, 3, 1).reshape(-1, filters)
     dw = dx = None
     if need_dw:
+        # one reduction over all rows: blocks of it would round differently
         dw2 = g2.T @ _im2col(x, kernel, stride, padding, out_h, out_w)
         dw = dw2.reshape(filters, kernel, kernel, channels).transpose(0, 3, 1, 2)
     if need_dx:
         # one GEMM per kernel offset, so each block added is contiguous
         w3 = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
         w3 = w3.reshape(kernel * kernel, filters, channels)
-        dcols = np.matmul(g2, w3).reshape(kernel, kernel, batch, out_h, out_w, channels)
-        dpadded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=dcols.dtype)
-        # overlapping blocks: this order fixes dX's float32 rounding,
-        # so changing it changes every training digest
-        for j in range(kernel):
-            for i in range(kernel):
-                dpadded[
-                    :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-                ] += dcols[i, j]
+        dtype = np.result_type(g2, w3)
+        dpadded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=dtype)
+        pixels = out_h * out_w
+        for lo, hi in _image_blocks(batch, pixels * kernel * kernel * channels * dtype.itemsize):
+            dcols = np.matmul(g2[lo * pixels : hi * pixels], w3)
+            dcols = dcols.reshape(kernel, kernel, hi - lo, out_h, out_w, channels)
+            block = dpadded[lo:hi]
+            # overlapping blocks: this order fixes dX's float32 rounding,
+            # so changing it changes every training digest
+            for j in range(kernel):
+                for i in range(kernel):
+                    block[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += dcols[i, j]
         dx = dpadded[:, padding : padding + height, padding : padding + width]
         dx = dx.transpose(0, 3, 1, 2)
     return dx, dw
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
-    """2D cross-correlation without bias, via im2col and a single GEMM.
+    """2D cross-correlation without bias, via im2col and one GEMM per block of images.
 
     x: [B, C, H, W]; weight: [F, C, k, k] -> [B, F, H_out, W_out].
 
     Shapes are NCHW, memory is NHWC: the output and the input gradient are
     transposed views of channels-last buffers, so batch norm and ReLU see
     activations and gradients in one layout. Any input layout is accepted.
-    The node keeps its input, not its im2col rows (:func:`_im2col`): dW
-    rebuilds them, bit for bit, so the input, like the weights, must not be
-    written before backward. The input gradient scatter-adds one contiguous
-    [B, H_out, W_out, C] block per kernel offset back into a padded NHWC
-    buffer.
+    The forward builds the im2col rows (:func:`_im2col`) and runs the GEMM
+    one block of whole images at a time (:func:`_image_blocks`). The node
+    keeps its input, not its rows: dW rebuilds the whole batch's rows, bit
+    for bit, so the input, like the weights, must not be written before
+    backward. The input gradient, block by block, scatter-adds one
+    contiguous [B, H_out, W_out, C] block per kernel offset back into a
+    padded NHWC buffer. Every output and gradient element is computed as
+    over the whole batch, so the bits do not depend on the blocks.
     """
     out = _conv_forward(x.data, weight.data, stride, padding)
 
@@ -522,12 +552,14 @@ def _votes_backward(g, um, weight, need_du, need_dw):
     """(du, dw) of :func:`_votes_forward` for the [B, M, P, D] vote gradient `g`."""
     children, batch, d_in = um.shape
     parents, _, _, d_out = weight.shape
-    # both GEMMs read one [M, B, P * D] copy of g: du as one GEMM over K = P * D_out fixes its bits
+    # both GEMMs read one [M, B, P * D] layout of g (a view when g is
+    # :func:`_route_backward`'s): du as one GEMM over K = P * D_out fixes its bits
     g_m = np.ascontiguousarray(g.reshape(batch, children, parents * d_out).transpose(1, 0, 2))
     du = dw = None
     if need_du:
         w2 = weight.transpose(1, 2, 0, 3).reshape(children, d_in, parents * d_out)
         du = np.matmul(g_m, w2.swapaxes(1, 2)).transpose(1, 0, 2)
+        del w2  # the relayout goes before dW allocates
     if need_dw:
         dw2 = np.matmul(um.swapaxes(1, 2), g_m)
         dw = dw2.reshape(children, d_in, parents, d_out).transpose(2, 0, 1, 3)
@@ -568,8 +600,11 @@ def _route(u: np.ndarray, iterations: int):
     return u, cs, ss, ys
 
 
-def _route_backward(g, u, cs, ss, ys):
-    """The vote gradient [B, M, P, D] of :func:`_route` for the pose gradient `g`."""
+def _route_backward(g, u, cs, ss, ys, into=None):
+    """The vote gradient of :func:`_route` for the pose gradient `g`: a
+    [B, M, P, D] view of an [M, B, P, D] array (the vote GEMM's layout) in
+    the memory of `into`, an array of the votes' size and dtype that may be
+    the votes `u` themselves (the loop has read them by then), or a new one."""
     coefs, vecs = [], []
     db = None
     dy = g
@@ -585,9 +620,9 @@ def _route_backward(g, u, cs, ss, ys):
             dc = np.matmul(u, ds[..., None])[..., 0]
             step = cs[t] * (dc - (cs[t] * dc).sum(axis=1, keepdims=True))
             db = step if db is None else db + step
-    # written through a transposed view so the vote gradient is
-    # contiguous in the votes' own layout for the next backward
-    du = np.empty(u.transpose(0, 2, 1, 3).shape, dtype=u.dtype)
+    batch, parents, children, dim = u.shape
+    buffer = np.empty(u.size, dtype=u.dtype) if into is None else into.reshape(-1)
+    du = buffer.reshape(children, batch, parents, dim).transpose(1, 0, 2, 3)
     np.matmul(np.stack(coefs, axis=-1), np.stack(vecs, axis=-2), out=du.transpose(0, 2, 1, 3))
     return du
 
@@ -608,7 +643,9 @@ def routing_by_agreement(u_hat: Tensor, iterations: int) -> tuple[Tensor, tuple[
     dy_t = db @ u, ds_t = squash'(s_t) dy_t, dc_t = u @ ds_t, and
     db += c_t * (dc_t - sum_p c_t * dc_t). At t = T, dy_T is the output
     gradient and db is zero. The vote gradient
-    sum_t c_t (x) ds_t + db_t (x) y_t is a single batched GEMM.
+    sum_t c_t (x) ds_t + db_t (x) y_t is a single batched GEMM, into a new
+    array in the vote GEMM's [M, B, P, D] layout: the votes' own buffer may
+    still be read through the ``capsule_votes`` output, so it is not reused.
     """
     u, cs, ss, ys = _route(np.ascontiguousarray(u_hat.data.transpose(0, 2, 1, 3)), iterations)
     y = _node(ys[-1], (u_hat,), lambda g: (_route_backward(g, u, cs, ss, ys),))
@@ -622,6 +659,9 @@ def class_capsules(u: Tensor, weight: Tensor, iterations: int) -> tuple[Tensor, 
     votes are made in routing's [B, P, M, D] layout and routing reads that
     one buffer, so the node saves the [M, B, D_in] poses and what routing's
     backward reads; the vote backward reads the weights at backward time.
+    Routing's backward loop is the last code that reads the votes, so the
+    vote gradient goes into their buffer, in the [M, B, P, D] layout both
+    vote GEMMs read: one view's backward holds no second vote-sized array.
     """
     votes, um = _votes_forward(u.data, weight.data)
     routed = _route(votes, iterations)
@@ -629,7 +669,7 @@ def class_capsules(u: Tensor, weight: Tensor, iterations: int) -> tuple[Tensor, 
 
     def bw(g):
         nonlocal routed
-        du_hat = _route_backward(g, *routed)
+        du_hat = _route_backward(g, *routed, into=votes)  # nothing reads the votes after this
         routed = None  # routing's arrays go before the vote backward allocates
         return _votes_backward(du_hat, um, weight.data, u.needs_grad, weight.needs_grad)
 

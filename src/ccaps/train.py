@@ -306,9 +306,10 @@ def _glibc():
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8  # glibc <malloc.h>
 # Above the largest array a step allocates: the default model's votes and
 # routing arrays at the paper's batch of 512 take 168 MB each (42 MB at
-# batch 128, beside Conv2d-3's 37.7 MB im2col block, a transient of both
-# its forward and its backward). Arrays at or above the threshold are
-# mmapped and faulted in again on every step.
+# batch 128, beside Conv2d-3's 37.7 MB im2col block, which only dW's
+# backward rebuilds whole: the forward and dX make it in blocks of at
+# most 2 MiB). Arrays at or above the threshold are mmapped and faulted
+# in again on every step.
 _MMAP_THRESHOLD = 256 << 20
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ccaps import blas, knn
-from ccaps.data import DatasetSplit, load_cifar10_binary
+from ccaps.data import DatasetSplit, compute_normalization_stats, load_cifar10_binary
 from ccaps.knn import (
     EvalConfig,
     FeatureBank,
@@ -19,6 +19,7 @@ from ccaps.knn import (
 )
 from ccaps.model import CapsuleNetwork, ModelConfig
 from ccaps.train import TrainConfig, network_from_record, train
+from synth import synthetic_images
 from tracemem import traced_bytes
 
 THIN_MODEL = ModelConfig(
@@ -270,6 +271,18 @@ def test_bank_check_copies_nothing_the_size_of_the_bank():
     labels = np.arange(20_000) % 10
     peak = traced_bytes(lambda: FeatureBank(features, labels))[1]
     assert peak <= 0.1 * features.nbytes, peak / features.nbytes
+
+
+def test_extraction_at_batch_256_holds_no_whole_batch_im2col_block():
+    # the convs lower their input in blocks of whole images: Conv2d-3's
+    # im2col rows over 256 images alone would be 72 MiB
+    config = ModelConfig()
+    rng = np.random.default_rng(53)
+    split = DatasetSplit(synthetic_images(np.arange(256) % 10, rng), None, "memory")
+    stats = compute_normalization_stats(split)
+    net = CapsuleNetwork(config, seed=0)
+    peak = traced_bytes(lambda: extract_features(net, split, stats, batch_size=256))[1]
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_config_validation():

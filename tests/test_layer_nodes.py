@@ -9,7 +9,8 @@ checked against finite differences, and a view through the nodes must
 peak in memory well below the same view through the chain.
 
 A conv node keeps its input, not its im2col rows, and rebuilds the rows
-from that input for dW: the rebuilt rows must be the forward's, no conv
+from that input for dW: the rebuilt rows must be the forward's (which it
+made in blocks of whole images), no conv
 input may be written between forward and backward (in a threaded training
 step too), and a view's graph must not hold the rows.
 """
@@ -220,6 +221,14 @@ def test_a_view_graph_holds_its_conv_inputs_not_their_im2col_rows():
 # -- the conv input, saved for backward ------------------------------------------
 
 
+def _first_image(block: np.ndarray, x: np.ndarray):
+    """lo if `block` is the slice ``x[lo:lo + len(block)]`` of `x`'s memory, else None."""
+    offset = block.__array_interface__["data"][0] - x.__array_interface__["data"][0]
+    lo, rest = divmod(offset, x.strides[0])
+    same_layout = block.dtype == x.dtype and block.strides == x.strides and block.shape[1:] == x.shape[1:]
+    return lo if same_layout and not rest and 0 <= lo <= len(x) - len(block) else None
+
+
 @pytest.mark.parametrize("config, batch", CASES)
 def test_each_saved_conv_input_rebuilds_the_forward_im2col_rows(config, batch, monkeypatch):
     calls = []  # (input, the other arguments, rows) of every im2col, in call order
@@ -236,14 +245,24 @@ def test_each_saved_conv_input_rebuilds_the_forward_im2col_rows(config, batch, m
     size = config.image_size
     out = net.forward(rng.normal(size=(batch, config.in_channels, size, size)).astype(np.float32), "train", 3)
     forward = list(calls)
-    convs = len(config.conv_strides) + 1  # the conv-block layers and PrimaryCaps
-    assert len(forward) == convs
     out.z.backward(rng.normal(size=out.z.shape).astype(np.float32))
-    rebuilt = calls[convs:]
-    assert len(rebuilt) == convs  # every conv's dW
+    rebuilt = calls[len(forward) :]
+    convs = len(config.conv_strides) + 1  # the conv-block layers and PrimaryCaps
+    assert len(rebuilt) == convs  # every conv's dW, from its whole saved input
+    # the forward ran each conv in blocks of whole images: slices of the
+    # saved input, in order, whose rows together are the rebuilt rows
+    grouped = 0
     for x, args, rows in rebuilt:
-        (saved,) = [(a, r) for y, a, r in forward if y is x]
-        assert saved[0] == args and _same_bits(rows, saved[1]), args
+        blocks = [(lo, y, a, r) for y, a, r in forward if (lo := _first_image(y, x)) is not None]
+        end = 0
+        for lo, y, a, _ in blocks:
+            assert lo == end and a == args, (lo, end, args)
+            end += len(y)
+        assert end == len(x)
+        assert _same_bits(rows, np.concatenate([r for *_, r in blocks])), args
+        grouped += len(blocks)
+    assert grouped == len(forward)  # every forward block belongs to one saved input
+    assert batch < 64 or len(forward) > convs  # at batch 64 some conv runs in several blocks
 
 
 def test_no_conv_input_is_written_between_forward_and_backward(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from ccaps import blas
 from ccaps.autodiff import Tensor, capsule_votes, class_capsules, routing_by_agreement
 from ccaps.model import CapsuleNetwork, ModelConfig
-from tracemem import traced_bytes
+from tracemem import traced_bytes, traced_steps
 from votes_reference import reference_class_capsules
 
 # (B, M, P, D_in, D_out): the default model at three batches, then odd sizes
@@ -71,3 +71,20 @@ def test_a_view_forward_peaks_less_than_half_a_vote_array_above_its_graph():
     with blas.split(blas.thread_count()):  # one OpenBLAS thread
         held, peak = traced_bytes(lambda: net.forward(x, "train", 3))
     assert peak - held < votes_bytes / 2, (peak, held, votes_bytes)
+
+
+def test_a_view_backward_peaks_less_than_one_and_a_half_vote_arrays_above_its_graph():
+    # the vote gradient goes into the votes' own buffer in the vote GEMM's
+    # layout, so neither a second vote-sized array nor a relayout of the
+    # gradient is ever alive beside the votes
+    config, batch = ModelConfig(), 16
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(batch, config.in_channels, config.image_size, config.image_size)).astype(np.float32)
+    g = rng.normal(size=(batch, config.embedding_dim)).astype(np.float32)
+    votes_bytes = batch * config.num_classes * config.num_primary_capsules * config.class_capsule_dim * 4
+    net = CapsuleNetwork(config, seed=0)
+    with blas.split(blas.thread_count()):  # one OpenBLAS thread
+        (held, _), (_, peak) = traced_steps(
+            lambda _: net.forward(x, "train", 3), lambda out: out.z.backward(g)
+        )
+    assert peak < held + 1.5 * votes_bytes, (peak / 2**20, held / 2**20, votes_bytes / 2**20)
