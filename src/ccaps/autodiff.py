@@ -22,7 +22,7 @@ hand-derived backward whose closure saves only what that backward reads:
 - ``conv2d``: nothing; at backward time it reads the weights and rebuilds
   the im2col rows from its input, so neither may be written before then;
   its forward and its dX run one block of whole images at a time
-  (``_image_blocks``), so no whole batch's im2col rows exist outside dW;
+  (``blas.even_blocks``), so no whole batch's im2col rows exist outside dW;
 - ``batch_norm2d``: xhat and the inverse std;
 - ``conv_bn_relu``, one conv-block layer as one node: xhat, the inverse
   std and y (the input and weights are read as in ``conv2d``);
@@ -86,6 +86,8 @@ import contextvars
 
 import numpy as np
 
+from . import blas
+
 __all__ = [
     "Tensor",
     "concat",
@@ -104,7 +106,7 @@ __all__ = [
 _NORM_FLOOR = 1e-12
 
 # Most bytes of im2col rows (or of dX's per-offset blocks) a conv holds at
-# once in its forward and its dX; see :func:`_image_blocks`.
+# once in its forward and its dX, in blocks cut by :func:`blas.even_blocks`.
 _BLOCK_BYTES = 2 << 20
 
 _RECORDING = contextvars.ContextVar("ccaps_autodiff_recording", default=True)
@@ -263,18 +265,9 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int, out_h: int, o
     )
 
 
-def _image_blocks(batch: int, image_bytes: int) -> list[tuple[int, int]]:
-    """(lo, hi) ranges of whole images: as few as keep a block within
-    _BLOCK_BYTES (or one image), evened out as ``knn`` evens out its bank
-    blocks, so no block is narrow."""
-    count = -(-batch // max(1, _BLOCK_BYTES // image_bytes))
-    edges = [batch * b // count for b in range(count + 1)]
-    return list(zip(edges, edges[1:]))
-
-
 def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """The conv output as an NCHW view of an NHWC buffer, one GEMM per block of
-    images (:func:`_image_blocks`) into that block's rows of the buffer."""
+    images (:func:`blas.even_blocks`) into that block's rows of the buffer."""
     batch, channels, height, width = x.shape
     filters, w_channels, kernel, kernel2 = weight.shape
     if w_channels != channels or kernel != kernel2:
@@ -287,7 +280,7 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, stride: int, padding: int) 
     # them rather than have every node hold one
     w2 = weight.transpose(0, 2, 3, 1).reshape(filters, -1)
     out = np.empty((batch, out_h, out_w, filters), dtype=np.result_type(x, weight))
-    for lo, hi in _image_blocks(batch, out_h * out_w * w2.shape[1] * x.itemsize):
+    for lo, hi in blas.even_blocks(batch, _BLOCK_BYTES // (out_h * out_w * w2.shape[1] * x.itemsize)):
         rows = _im2col(x[lo:hi], kernel, stride, padding, out_h, out_w)
         np.matmul(rows, w2.T, out=out[lo:hi].reshape(-1, filters))
     return out.transpose(0, 3, 1, 2)
@@ -314,7 +307,7 @@ def _conv_backward(g, x, weight, stride, padding, need_dx, need_dw):
         dtype = np.result_type(g2, w3)
         dpadded = np.zeros((batch, height + 2 * padding, width + 2 * padding, channels), dtype=dtype)
         pixels = out_h * out_w
-        for lo, hi in _image_blocks(batch, pixels * kernel * kernel * channels * dtype.itemsize):
+        for lo, hi in blas.even_blocks(batch, _BLOCK_BYTES // (pixels * kernel * kernel * channels * dtype.itemsize)):
             dcols = np.matmul(g2[lo * pixels : hi * pixels], w3)
             dcols = dcols.reshape(kernel, kernel, hi - lo, out_h, out_w, channels)
             block = dpadded[lo:hi]
@@ -337,7 +330,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 1) -> Tens
     transposed views of channels-last buffers, so batch norm and ReLU see
     activations and gradients in one layout. Any input layout is accepted.
     The forward builds the im2col rows (:func:`_im2col`) and runs the GEMM
-    one block of whole images at a time (:func:`_image_blocks`). The node
+    one block of whole images at a time (:func:`blas.even_blocks`). The node
     keeps its input, not its rows: dW rebuilds the whole batch's rows, bit
     for bit, so the input, like the weights, must not be written before
     backward. The input gradient, block by block, scatter-adds one

@@ -4,8 +4,10 @@ OpenBLAS's thread count is one process-wide setting. Code that runs BLAS
 calls on several Python threads at once sets it so that the threads
 together use no more BLAS threads than one call would have, and restores
 it afterwards: a training step gives each of its two views half of them,
-and kNN scoring runs up to one worker per BLAS thread, with one BLAS
-thread each.
+feature extraction each half of a batch, and kNN scoring runs up to one
+worker per BLAS thread, with one BLAS thread each. :func:`run` runs such
+jobs, and :func:`even_blocks` cuts the work into them (and the convs'
+rows into blocks of whole images).
 The library is found through ``ctypes`` among the shared objects the
 process has mapped; where no OpenBLAS is loaded, :func:`split` changes
 nothing and :func:`thread_count` reads one.
@@ -14,10 +16,12 @@ nothing and :func:`thread_count` reads one.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
+from concurrent.futures import wait
 
-__all__ = ["openblas_threads", "thread_count", "split"]
+__all__ = ["openblas_threads", "thread_count", "split", "run", "even_blocks"]
 
 
 @functools.cache
@@ -62,3 +66,25 @@ def split(parts: int):
         yield
     finally:
         put(before)
+
+
+def run(pool, *jobs) -> list:
+    """Run ``jobs[0]()`` here and the other jobs on `pool`, each in a copy of
+    this thread's context (a worker sees the caller's ``no_grad()``); return
+    their results in job order once all have ended. An error from ``jobs[0]``
+    wins; else the first worker's error, in job order, is raised as itself."""
+    futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs[1:]]
+    try:
+        first = jobs[0]()
+    finally:
+        wait(futures)  # no job outlives this call
+    return [first] + [future.result() for future in futures]
+
+
+def even_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges cutting ``range(n)`` into as few blocks as hold at most
+    `most` items each (one, at least), evened out: no narrow last block, whose
+    GEMM OpenBLAS may run through another kernel with other rounding."""
+    count = -(-n // max(1, most))
+    edges = [n * b // count for b in range(count + 1)]
+    return list(zip(edges, edges[1:]))

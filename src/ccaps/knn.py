@@ -33,6 +33,7 @@ candidates per query and block.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,15 +124,23 @@ def extract_features(
 ) -> np.ndarray:
     """Eval-mode h features of every record, file order, [N, feature_dim].
 
-    Nothing here is differentiated, so no batch records a graph.
+    Nothing here is differentiated, so no batch records a graph. Each batch
+    is cut into two runs of whole images, one on this thread and one on a
+    worker, with half the BLAS threads each (:mod:`ccaps.blas`), and each
+    run writes its rows of the output. Eval forwards are pure and a conv
+    row's bits do not depend on its block, so the bytes are those of one run.
     """
     out = np.empty((len(split), net.config.feature_dim), dtype=np.float32)
+
+    def rows(lo: int, images: np.ndarray) -> None:
+        fmap = net.conv_block(standardize(to_unit_interval(images), stats), mode="eval")
+        out[lo : lo + len(images)] = l2_normalize(fmap.reshape(len(images), -1), axis=1).data
+
     row = 0
-    with no_grad():
+    with no_grad(), blas.split(2), ThreadPoolExecutor(1, "ccaps-extract") as pool:
         for batch in batch_iterator(split, batch_size, shuffle=False):
-            x = standardize(to_unit_interval(batch.images), stats)
-            fmap = net.conv_block(x, mode="eval")
-            out[row : row + batch.size] = l2_normalize(fmap.reshape(batch.size, -1), axis=1).data
+            halves = blas.even_blocks(batch.size, -(-batch.size // 2))
+            blas.run(pool, *(functools.partial(rows, row + lo, batch.images[lo:hi]) for lo, hi in halves))
             row += batch.size
     return out
 
@@ -159,11 +168,7 @@ def weighted_knn_predict(
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
     q, m, k = len(h), len(bank), cfg.k
-    # at most _BANK_ROWS rows a block, evened out: no narrow last block, whose
-    # GEMM OpenBLAS may run through another kernel with other rounding
-    count = -(-m // _BANK_ROWS)
-    edges = [m * b // count for b in range(count + 1)]
-    blocks = list(zip(edges, edges[1:]))
+    blocks = blas.even_blocks(m, _BANK_ROWS)
     # each block's k best rows per query (all of a shorter block), in block order
     starts = list(accumulate((min(k, hi - lo) for lo, hi in blocks), initial=0))
     dtype = np.result_type(h, bank.features)
@@ -187,10 +192,7 @@ def weighted_knn_predict(
     workers = min(blas.thread_count(), len(blocks))
     with blas.split(workers), ThreadPoolExecutor(max(1, workers - 1), "ccaps-knn") as pool:
         buffers = np.empty((workers, q * max(hi - lo for lo, hi in blocks)), dtype=dtype)
-        helpers = [pool.submit(work, buffer) for buffer in buffers[1:]]
-        work(buffers[0])
-        for helper in helpers:
-            helper.result()
+        blas.run(pool, *(functools.partial(work, buffer) for buffer in buffers))
 
     width = cand.shape[1]
     keep = np.argpartition(cand_sim, width - k, axis=1)[:, width - k :]

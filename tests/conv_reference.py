@@ -1,7 +1,7 @@
 """The conv forward and input gradient over the whole batch at once.
 
 ``autodiff`` runs the conv forward and dX one block of whole images at a
-time (``_image_blocks``). These are the same numpy calls over the whole
+time (``blas.even_blocks``). These are the same numpy calls over the whole
 batch: one im2col block and one GEMM for the forward, one GEMM per kernel
 offset and the nine-offset scatter for dX. They are the float32 bit
 reference the blocked kernels must match.

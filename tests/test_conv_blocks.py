@@ -1,7 +1,7 @@
 """The conv forward and dX in blocks of whole images give the whole-batch bits.
 
 ``autodiff._conv_forward`` and ``_conv_backward``'s dX run one block of
-whole images at a time (``_image_blocks``), so they never hold a whole
+whole images at a time (``blas.even_blocks``), so they never hold a whole
 batch's im2col rows. Every float32 output and input-gradient element must
 have the bits of ``conv_reference``'s whole-batch kernels: on every conv of
 the default model and of an odd one, at batch 1, 2, an odd batch whose
@@ -35,7 +35,7 @@ def _same_bits(a, b) -> bool:
 
 
 def _blocks(batch, channels, out_size, k):
-    return autodiff._image_blocks(batch, out_size * out_size * k * k * channels * 4)
+    return blas.even_blocks(batch, autodiff._BLOCK_BYTES // (out_size * out_size * k * k * channels * 4))
 
 
 @pytest.mark.parametrize("threads", ["one", "host"])
@@ -77,16 +77,3 @@ def test_blocks_of_any_size_give_the_whole_batch_bits(images, monkeypatch):
     dx, _ = autodiff._conv_backward(g, x, weight, stride, 1, True, False)
     assert _same_bits(dx, whole_batch_conv_dx(g, x.shape, weight, stride, 1))
     assert len(_blocks(70, channels, size, 3)) == -(-70 // images)
-
-
-@pytest.mark.parametrize("batch", [1, 5, 64, 256, 1000])
-@pytest.mark.parametrize("image_bytes", [1, 300_000, 5_000_000])
-def test_image_blocks_are_the_fewest_within_the_budget_and_even(batch, image_bytes):
-    blocks = autodiff._image_blocks(batch, image_bytes)
-    sizes = [hi - lo for lo, hi in blocks]
-    assert blocks[0][0] == 0 and blocks[-1][1] == batch
-    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-    assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
-    per_block = max(1, autodiff._BLOCK_BYTES // image_bytes)
-    assert max(sizes) <= per_block  # within the budget, or one image
-    assert len(blocks) == -(-batch // per_block)  # and no more blocks than that needs

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ccaps import blas, knn
-from ccaps.data import DatasetSplit, compute_normalization_stats, load_cifar10_binary
+from ccaps.autodiff import l2_normalize, no_grad
+from ccaps.data import DatasetSplit, compute_normalization_stats, load_cifar10_binary, standardize, to_unit_interval
 from ccaps.knn import (
     EvalConfig,
     FeatureBank,
@@ -271,6 +272,39 @@ def test_bank_check_copies_nothing_the_size_of_the_bank():
     labels = np.arange(20_000) % 10
     peak = traced_bytes(lambda: FeatureBank(features, labels))[1]
     assert peak <= 0.1 * features.nbytes, peak / features.nbytes
+
+
+def _features_in_one_run(net, split, stats) -> np.ndarray:
+    """Every image's features from one conv-block forward on this thread."""
+    with no_grad():
+        fmap = net.conv_block(standardize(to_unit_interval(split.images), stats), mode="eval")
+        return l2_normalize(fmap.reshape(len(split), -1), axis=1).data
+
+
+@pytest.mark.parametrize("threads", ["one", "host"])
+@pytest.mark.parametrize("batch_size", [256, 3])
+def test_extraction_in_two_runs_gives_the_bytes_of_one(monkeypatch, threads, batch_size):
+    # 300 images: at batch 256, runs of 128 + 128 and 22 + 22; at batch 3,
+    # runs of 1 + 2 images
+    rng = np.random.default_rng(55)
+    split = DatasetSplit(synthetic_images(np.arange(300) % 10, rng), None, "memory")
+    stats = compute_normalization_stats(split)
+    net = CapsuleNetwork(ModelConfig(), seed=0)
+    conv_block, runs = CapsuleNetwork.conv_block, []
+
+    def watched(self, x, *args, **kwargs):
+        out = conv_block(self, x, *args, **kwargs)
+        runs.append((threading.current_thread() is threading.main_thread(), len(x), out.needs_grad))
+        return out
+
+    with blas.split(blas.thread_count() if threads == "one" else 1):
+        want = _features_in_one_run(net, split, stats)
+        monkeypatch.setattr(CapsuleNetwork, "conv_block", watched)
+        got = extract_features(net, split, stats, batch_size=batch_size)
+    assert got.tobytes() == want.tobytes()
+    assert {on_main for on_main, _, _ in runs} == {True, False}  # a run on each thread
+    assert sum(size for _, size, _ in runs) == 300 and len(runs) == 2 * -(-300 // batch_size)
+    assert not any(graph for _, _, graph in runs)  # the worker ran under no_grad too
 
 
 def test_extraction_at_batch_256_holds_no_whole_batch_im2col_block():
