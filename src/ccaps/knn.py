@@ -8,8 +8,9 @@ weighting each neighbour by exp(similarity / temperature), and summing
 the weights per class. Ranked classes sort by descending score with ties
 broken by ascending class index.
 
-A query batch is scored over blocks of bank rows: as few as hold at most
-6,250 rows each, evened out, so the blocks depend on the bank size alone.
+Queries are scored 512 at a time (any number in one call), and each
+chunk over blocks of bank rows: as few as hold at most 6,250 rows each,
+evened out, so the blocks depend on the bank size alone.
 Workers, one per OpenBLAS thread but no more than there are blocks (one
 where no OpenBLAS is loaded; see :mod:`ccaps.blas`), share the BLAS
 threads evenly: one each when there are at least as many blocks as BLAS
@@ -23,12 +24,14 @@ are in bank order, so the float64 weights are summed in bank order and a
 score depends only on the neighbour set. Which of several rows tied at
 the k-th similarity is kept is unspecified.
 
-The bank is immutable after construction; queries run in fixed-size
-chunks so peak memory stays bounded at full dataset scale. A call holds
-the bank (50,000 x 2048 float32 rows ~ 410 MB, never copied), one
-[Q, <= 6,250] similarity buffer per worker (26 MB for 512 queries on two
-workers, against 100 MB for a whole [512, 50,000] block), and k
-candidates per query and block.
+The bank is immutable after construction. Every call runs its chunks
+through one worker pool and one set of buffers sized for one chunk, so its
+peak memory does not grow with the number of queries, and a chunk's bytes
+are those of a call with that chunk alone. A call holds the bank (50,000 x
+2048 float32 rows ~ 410 MB, never copied), one [<= 512, <= 6,250]
+similarity buffer per worker (26 MB on two workers, against 100 MB for a
+whole [512, 50,000] block), k candidates per query of a chunk and block,
+and the [Q, classes] scores and ranks.
 """
 
 from __future__ import annotations
@@ -54,13 +57,12 @@ __all__ = [
     "EvalConfig",
     "EvalResult",
     "extract_features",
-    "build_feature_bank",
     "weighted_knn_predict",
     "evaluate",
 ]
 
 _UNIT_NORM_TOL = 1e-5
-_QUERY_CHUNK = 512  # queries scored per call in `evaluate`
+_QUERY_CHUNK = 512  # most queries scored at once
 _BANK_ROWS = 6_250  # most bank rows per similarity block
 _SELECT_ROWS = 16  # query rows per top-k selection block
 
@@ -145,43 +147,34 @@ def extract_features(
     return out
 
 
-def build_feature_bank(
-    net: CapsuleNetwork,
-    memory_split: DatasetSplit,
-    stats: NormalizationStats,
-) -> FeatureBank:
-    if memory_split.labels is None:
-        raise ValueError("the memory split needs labels to build a bank")
-    features = extract_features(net, memory_split, stats)
-    return FeatureBank(features=features, labels=np.asarray(memory_split.labels))
-
-
 def weighted_knn_predict(
     h: np.ndarray, bank: FeatureBank, cfg: EvalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class scores and ranked labels for a batch of queries `h` [Q, D].
+    """Class scores and ranked labels for any number of queries `h` [Q, D].
 
     Returns (scores [Q, classes], ranked [Q, classes]); ranked[q, 0] is the
-    top-1 prediction. Scored over blocks of bank rows on up to one worker
-    per BLAS thread.
+    top-1 prediction. The queries are scored `_QUERY_CHUNK` at a time, each
+    chunk over blocks of bank rows on up to one worker per BLAS thread, so a
+    chunk's bytes are those of a call with that chunk alone.
     """
     if cfg.k > len(bank):
         raise ValueError(f"k={cfg.k} exceeds bank size {len(bank)}")
-    q, m, k = len(h), len(bank), cfg.k
+    m, k, classes = len(bank), cfg.k, cfg.class_count
     blocks = blas.even_blocks(m, _BANK_ROWS)
     # each block's k best rows per query (all of a shorter block), in block order
     starts = list(accumulate((min(k, hi - lo) for lo, hi in blocks), initial=0))
+    width, most = starts[-1], min(len(h), _QUERY_CHUNK)
     dtype = np.result_type(h, bank.features)
-    cand = np.empty((q, starts[-1]), dtype=np.intp)
-    cand_sim = np.empty((q, starts[-1]), dtype=dtype)
-    todo = iter(range(len(blocks)))  # shared; each next() is one C call under the GIL
+    chunk_cand = np.empty((most, width), dtype=np.intp)
+    chunk_sim = np.empty((most, width), dtype=dtype)
+    scores = np.empty((len(h), classes))
 
-    def work(buffer: np.ndarray) -> None:
+    def work(buffer: np.ndarray) -> None:  # on the current chunk's queries, todo and candidates
         for b in todo:
             (lo, hi), at = blocks[b], starts[b]
             n = hi - lo
             kept = starts[b + 1] - at
-            sim = np.matmul(h, bank.features[lo:hi].T, out=buffer[: q * n].reshape(q, n))
+            sim = np.matmul(queries, bank.features[lo:hi].T, out=buffer[: q * n].reshape(q, n))
             for r in range(0, q, _SELECT_ROWS):
                 rows = sim[r : r + _SELECT_ROWS]
                 best = np.argpartition(rows, n - kept, axis=1)[:, n - kept :]
@@ -191,18 +184,20 @@ def weighted_knn_predict(
 
     workers = min(blas.thread_count(), len(blocks))
     with blas.split(workers), ThreadPoolExecutor(max(1, workers - 1), "ccaps-knn") as pool:
-        buffers = np.empty((workers, q * max(hi - lo for lo, hi in blocks)), dtype=dtype)
-        blas.run(pool, *(functools.partial(work, buffer) for buffer in buffers))
-
-    width = cand.shape[1]
-    keep = np.argpartition(cand_sim, width - k, axis=1)[:, width - k :]
-    keep.sort(axis=1)  # bank order, so the sums below do not depend on the partition order
-    top = np.take_along_axis(cand, keep, axis=1)
-    # float64 keeps exp(1/temperature) finite for any positive temperature
-    weights = np.exp(np.take_along_axis(cand_sim, keep, axis=1).astype(np.float64) / cfg.temperature)
-    classes = cfg.class_count
-    slots = np.arange(q)[:, None] * classes + bank.labels[top]
-    scores = np.bincount(slots.ravel(), weights.ravel(), minlength=q * classes).reshape(q, classes)
+        buffers = np.empty((workers, most * max(hi - lo for lo, hi in blocks)), dtype=dtype)
+        for start in range(0, len(h), _QUERY_CHUNK):
+            queries = h[start : start + _QUERY_CHUNK]
+            q = len(queries)
+            cand, cand_sim = chunk_cand[:q], chunk_sim[:q]
+            todo = iter(range(len(blocks)))  # shared; each next() is one C call under the GIL
+            blas.run(pool, *(functools.partial(work, buffer) for buffer in buffers))
+            keep = np.argpartition(cand_sim, width - k, axis=1)[:, width - k :]
+            keep.sort(axis=1)  # bank order, so the sums below do not depend on the partition order
+            top = np.take_along_axis(cand, keep, axis=1)
+            # float64 keeps exp(1/temperature) finite for any positive temperature
+            weights = np.exp(np.take_along_axis(cand_sim, keep, axis=1).astype(np.float64) / cfg.temperature)
+            slots = (np.arange(q)[:, None] * classes + bank.labels[top]).ravel()
+            scores[start : start + q] = np.bincount(slots, weights.ravel(), minlength=q * classes).reshape(q, -1)
     # stable argsort on negated scores: ties fall back to ascending class index
     return scores, np.argsort(-scores, axis=1, kind="stable")
 
@@ -219,19 +214,15 @@ def evaluate(
         raise ValueError("empty test split")
     if test_split.labels is None:
         raise ValueError("the test split needs labels for scoring")
-    bank = build_feature_bank(net, memory_split, stats)
+    if memory_split.labels is None:
+        raise ValueError("the memory split needs labels to build a bank")
+    bank = FeatureBank(extract_features(net, memory_split, stats), np.asarray(memory_split.labels))
     queries = extract_features(net, test_split, stats)
     _require_unit_rows(queries, "query")
     labels = np.asarray(test_split.labels)
-
-    correct1 = 0
-    correct5 = 0
-    for start in range(0, len(queries), _QUERY_CHUNK):
-        chunk = queries[start : start + _QUERY_CHUNK]
-        chunk_labels = labels[start : start + len(chunk)]
-        _, ranked = weighted_knn_predict(chunk, bank, cfg)
-        correct1 += int(np.sum(ranked[:, 0] == chunk_labels))
-        correct5 += int(np.sum(np.any(ranked[:, :5] == chunk_labels[:, None], axis=1)))
+    _, ranked = weighted_knn_predict(queries, bank, cfg)
+    correct1 = int(np.sum(ranked[:, 0] == labels))
+    correct5 = int(np.sum(np.any(ranked[:, :5] == labels[:, None], axis=1)))
 
     total = len(queries)
     return EvalResult(

@@ -84,8 +84,8 @@ class ModelConfig:
         for name, value, least in bounds:
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not self.bn_eps > 0:
-            raise ValueError(f"bn_eps must be positive, got {self.bn_eps!r}")
+        if not (self.bn_eps > 0 and math.isfinite(self.bn_eps)):
+            raise ValueError(f"bn_eps must be positive and finite, got {self.bn_eps!r}")
         if not 0 <= self.bn_momentum <= 1:
             raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum!r}")
         if self.primary_channels % self.capsule_dim != 0:

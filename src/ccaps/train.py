@@ -462,8 +462,6 @@ def train(
         _require(resume_from, arrays=adam.state_arrays(), meta=("adam_steps", "epoch"))
         adam.load_state(resume_from.arrays, int(resume_from.meta["adam_steps"]))
         start_epoch = resume_from.epoch
-        if start_epoch >= config.epochs:
-            return TrainResult(checkpoint=resume_from, metrics=[])
     else:
         stats = compute_normalization_stats(data)
         net = CapsuleNetwork(config.model, seed=config.seed)
@@ -496,8 +494,8 @@ def train(
         if batch.size >= 2  # batch norm cannot take a single sample
     )
     try:
-        step = next(steps)
-        ahead = pool.submit(_two_view_batch, step, config, stats)
+        step = next(steps, None)  # None when a resumed run has no epoch left
+        ahead = None if step is None else pool.submit(_two_view_batch, step, config, stats)
         batch_losses = []
         while step is not None:
             epoch, batch_index, _ = step

@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccaps.autodiff import Tensor, concat, routing_by_agreement, squash
+import ccaps.train as train_mod
+from ccaps.augment import AugmentConfig
+from ccaps.autodiff import Tensor, concat, no_grad, routing_by_agreement, squash
 from ccaps.cli import main
-from ccaps.data import compute_normalization_stats, load_cifar10_binary
+from ccaps.data import batch_iterator, compute_normalization_stats, load_cifar10_binary
 from ccaps.knn import EvalConfig, FeatureBank, evaluate, weighted_knn_predict
 from ccaps.loss import nt_xent_op
 from ccaps.model import CapsuleNetwork, ModelConfig
@@ -287,31 +289,57 @@ def test_c7_knn_oracle():
 # -- 8. smoke training ---------------------------------------------------------------------------
 
 
+# Seeds 0-2, the first three; each must gain C8_BAR. Over seeds 0-9 the
+# gain over the same init read +18.8 to +32.7 pp (median +23.0).
+C8_SEEDS = (0, 1, 2)
+C8_EPOCHS = 10
+C8_BAR = 10.0  # pp
+
+
+def _init_at_learning_rate_zero(config, images, stats):
+    """The untrained network of `config` with the batch-norm running
+    statistics its steps at learning rate 0 leave, bit for bit: only view
+    i's train-mode conv block moves them, so that alone is run."""
+    net = CapsuleNetwork(config.model, seed=config.seed)
+    with no_grad():
+        for epoch in range(1, config.epochs + 1):
+            batches = batch_iterator(images, config.batch_size, shuffle=True, seed=config.seed, epoch=epoch)
+            for index, batch in enumerate(batches):
+                if batch.size >= 2:  # as train skips a batch of one
+                    view_i, _ = train_mod._two_view_batch((epoch, index, batch), config, stats)
+                    net.conv_block(view_i, mode="train")
+    return net
+
+
 def test_c8_smoke_training_improves_knn(small_data_dir):
+    # Each trained network against its own init with the running statistics
+    # that training would set at learning rate 0, not the init's mean 0 /
+    # variance 1: over seeds 0-9 those alone moved top-1 by -11.1 to +4.6 pp.
+    # The crop keeps the whole image: the synthetic classes differ only in
+    # ring frequency, which a random-resized crop at scale 0.2 changes by up
+    # to 2.2x.
     train_split, test_split = load_cifar10_binary(small_data_dir)
     subset = train_split.take(512)
     held_out = test_split.take(1000)
-    config = TrainConfig(epochs=50, batch_size=64, seed=0)
-    knn_cfg = EvalConfig(k=20, temperature=config.temperature)
-
-    stats = compute_normalization_stats(subset.without_labels())
-    untrained = CapsuleNetwork(config.model, seed=config.seed)
-    before = evaluate(untrained, subset, held_out, stats, knn_cfg)
-
-    result = train(config, subset)
-    assert result.metrics[-1].loss < result.metrics[0].loss, (
-        f"epoch-50 loss {result.metrics[-1].loss} not below epoch-1 {result.metrics[0].loss}"
+    images = subset.without_labels()
+    stats = compute_normalization_stats(images)
+    augment = AugmentConfig(crop_scale_range=(1.0, 1.0))
+    readings = []
+    for seed in C8_SEEDS:
+        config = TrainConfig(epochs=C8_EPOCHS, batch_size=64, seed=seed, augment=augment)
+        knn_cfg = EvalConfig(k=20, temperature=config.temperature)
+        before = evaluate(_init_at_learning_rate_zero(config, images, stats), subset, held_out, stats, knn_cfg)
+        result = train(config, subset)
+        net, _, _ = network_from_record(result.checkpoint)
+        after = evaluate(net, subset, held_out, stats, knn_cfg)
+        readings.append((seed, before.top1, after.top1, result.metrics[0].loss, result.metrics[-1].loss))
+    report = "; ".join(
+        f"seed {seed}: {b:.2f}% -> {a:.2f}% ({a - b:+.2f}pp), loss {first:.3f} -> {last:.3f}"
+        for seed, b, a, first, last in readings
     )
-
-    net, stats2, _ = network_from_record(result.checkpoint)
-    after = evaluate(net, subset, held_out, stats2, knn_cfg)
-    gain = after.top1 - before.top1
-    assert gain >= 5.0, f"top-1 gain {gain:.2f}pp (untrained {before.top1}%, trained {after.top1}%)"
-    _verdict(
-        "C8",
-        f"loss {result.metrics[0].loss:.3f} -> {result.metrics[-1].loss:.3f}; "
-        f"kNN top-1 {before.top1:.2f}% -> {after.top1:.2f}% (+{gain:.2f}pp >= 5pp)",
-    )
+    assert all(last < first for *_, first, last in readings), report
+    assert all(a - b >= C8_BAR for _, b, a, *_ in readings), report
+    _verdict("C8", f"kNN top-1 over the same init at learning rate 0, each >= +{C8_BAR:.0f}pp: {report}")
 
 
 # -- 9. determinism and resume ----------------------------------------------------------------------

@@ -475,7 +475,11 @@ def test_cli_eval_missing_checkpoint_fails_cleanly(small_data_dir, tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys):
+def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_dir, tmp_path, capsys, monkeypatch):
+    def no_data(*args):
+        raise AssertionError("data loaded before the config was checked")
+
+    monkeypatch.setattr("ccaps.cli.load_cifar10_binary", no_data)
     _, out = cli_run
     record = CheckpointRecord.load(out / "ckpt" / "final.ckpt")
     without_config = {k: v for k, v in record.meta.items() if k != "config"}
@@ -483,11 +487,15 @@ def test_cli_eval_malformed_checkpoint_config_fails_cleanly(cli_run, small_data_
     config = record.meta["config"]
     zero_capsule_dim = {**record.meta, "config": {**config, "model": {**config["model"], "capsule_dim": 0}}}
     nan_rate = {**record.meta, "config": {**config, "learning_rate": float("nan")}}
+    # with bn_eps = inf every conv feature is 0, and only the bank check,
+    # after extracting the whole bank, would fail
+    inf_eps = {**record.meta, "config": {**config, "model": {**config["model"], "bn_eps": math.inf}}}
     for name, meta, named in (
         ("no-config", without_config, "'config'"),
         ("unknown", unknown_key, "'blur'"),
         ("zero-capsule-dim", zero_capsule_dim, "capsule_dim"),
         ("nan-learning-rate", nan_rate, "learning_rate"),
+        ("inf-bn-eps", inf_eps, "bn_eps"),
     ):
         path = CheckpointRecord(arrays=record.arrays, meta=meta).save(tmp_path / f"{name}.ckpt")
         rc = main(["eval", "--checkpoint", str(path), "--data-dir", str(small_data_dir)])
@@ -586,6 +594,29 @@ def test_cli_resume_continues_run(cli_run, small_data_dir, tmp_path, capsys):
     assert rc == 0
     record = CheckpointRecord.load(tmp_path / "resumed" / "final.ckpt")
     assert record.epoch == 3
+
+
+def test_cli_resume_of_a_finished_run_writes_the_files_it_names(cli_run, small_data_dir, tmp_path, capsys):
+    _, out = cli_run
+    done = tmp_path / "done"
+    rc = main(
+        [
+            "train",
+            "--data-dir", str(small_data_dir),
+            "--checkpoint-dir", str(done),
+            "--epochs", "1",
+            "--batch-size", "16",
+            "--subset", "64",
+            "--seed", "1",
+            "--resume", str(out / "ckpt" / "final.ckpt"),
+        ]
+    )
+    printed = capsys.readouterr().out
+    assert rc == 0
+    assert f"checkpoint: {done / 'final.ckpt'}" in printed and f"metrics: {done / 'metrics.csv'}" in printed
+    # no epoch was left: the resumed record is the final one, and the CSV has no row
+    assert (done / "final.ckpt").read_bytes() == (out / "ckpt" / "final.ckpt").read_bytes()
+    assert read_metrics_csv(done / "metrics.csv") == []
 
 
 def test_artifacts_of_a_run_with_a_seconds_column_resume_evaluate_and_plot(small_data_dir, tmp_path):

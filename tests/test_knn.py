@@ -13,7 +13,6 @@ from ccaps.data import DatasetSplit, compute_normalization_stats, load_cifar10_b
 from ccaps.knn import (
     EvalConfig,
     FeatureBank,
-    build_feature_bank,
     evaluate,
     extract_features,
     weighted_knn_predict,
@@ -210,16 +209,19 @@ def test_eight_workers_switching_often_give_the_one_worker_bits(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("queries", [8, 2 * knn._QUERY_CHUNK + 8])  # a failure in the first chunk, or a later one
 @pytest.mark.parametrize("failing", ["caller", "helper"])
-def test_a_failing_worker_restores_the_blas_threads_and_leaves_no_thread(monkeypatch, failing):
+def test_a_failing_worker_restores_the_blas_threads_and_leaves_no_thread(monkeypatch, failing, queries):
     bank = FeatureBank(_unit_rows(64, 16, 46).astype(np.float32), np.arange(64) % 10)
-    h = _unit_rows(8, 16, 47).astype(np.float32)
+    h = _unit_rows(queries, 16, 47).astype(np.float32)
     monkeypatch.setattr(knn, "_BANK_ROWS", 16)
     sets = _fake_blas(monkeypatch, 2)
     threads = threading.active_count()
     matmul, both_started, started = np.matmul, threading.Barrier(2, timeout=10), set()
 
     def one_worker_fails(*args, **kwargs):
+        if len(args[0]) != 8:  # a full chunk before the last
+            return matmul(*args, **kwargs)
         me = threading.current_thread()
         if me not in started:  # each worker's first block waits for the other's
             started.add(me)
@@ -256,15 +258,25 @@ def test_knn_call_allocates_little_beyond_the_similarity_block():
     assert peak <= 1.25 * sim_bytes, peak / sim_bytes
 
 
-def test_similarities_take_a_block_per_worker_not_the_whole_bank(monkeypatch):
-    m, q = 50_000, 512
+# 1,300 queries: two chunks of 512 and one of 276, not a multiple of the 16-row selection blocks
+@pytest.mark.parametrize("q", [512, 1300])
+def test_similarities_take_a_block_per_worker_not_the_whole_bank(monkeypatch, q):
+    m = 50_000
     bank = FeatureBank(_unit_rows(m, 16, 51).astype(np.float32), np.arange(m) % 10)
     h = _unit_rows(q, 16, 52).astype(np.float32)
     _fake_blas(monkeypatch, 2)
     peak = traced_bytes(lambda: weighted_knn_predict(h, bank, EvalConfig()))[1]
-    # two [512, 6,250] buffers and 8 x 200 candidates a query: ~43 MB, where
-    # one [512, 50,000] similarity block alone is 102 MB
-    assert peak <= 0.5 * q * m * 4, peak / (q * m * 4)
+    # two [512, 6,250] buffers and 8 x 200 candidates a query of a chunk: ~43 MB
+    # for any q, where one [512, 50,000] similarity block alone is 102 MB
+    chunk = knn._QUERY_CHUNK * m * 4
+    assert peak <= 0.5 * chunk, peak / chunk
+
+
+def test_no_queries_give_empty_scores_and_ranks():
+    bank = FeatureBank(_unit_rows(30, 8, 57).astype(np.float32), np.arange(30) % 10)
+    scores, ranked = weighted_knn_predict(np.zeros((0, 8), np.float32), bank, EvalConfig(k=5))
+    assert scores.shape == ranked.shape == (0, 10)
+    assert scores.dtype == np.float64 and ranked.dtype == np.int64
 
 
 def test_bank_check_copies_nothing_the_size_of_the_bank():
@@ -470,7 +482,7 @@ def trained_state(small_data_dir):
 def test_feature_bank_rows_match_per_record_forward(trained_state):
     net, stats, split, _ = trained_state
     memory = split.take(32)
-    bank = build_feature_bank(net, memory, stats)
+    bank = FeatureBank(extract_features(net, memory, stats), memory.labels)
     assert len(bank) == 32
     np.testing.assert_allclose(np.linalg.norm(bank.features, axis=1), 1.0, atol=1e-5)
     # row i equals an independently computed single-image forward
@@ -507,8 +519,8 @@ def test_extract_features_records_no_graph_and_keeps_the_graph_path_bits(trained
 def test_feature_bank_rebuild_is_bitwise_identical(trained_state):
     net, stats, split, _ = trained_state
     memory = split.take(48)
-    a = build_feature_bank(net, memory, stats)
-    b = build_feature_bank(net, memory, stats)
+    a = FeatureBank(extract_features(net, memory, stats), memory.labels)
+    b = FeatureBank(extract_features(net, memory, stats), memory.labels)
     np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -534,8 +546,6 @@ def test_evaluate_counts_and_nesting(trained_state):
 
 
 def test_evaluate_ranks_each_chunk_as_weighted_knn_predict_does(monkeypatch):
-    from ccaps import knn
-
     m, q = 3000, 2 * knn._QUERY_CHUNK + 77  # two full chunks and a part
     rng = np.random.default_rng(31)
     memory = DatasetSplit(np.zeros((m, 3, 32, 32), np.uint8), rng.integers(0, 10, size=m), "memory")
@@ -545,36 +555,39 @@ def test_evaluate_ranks_each_chunk_as_weighted_knn_predict_does(monkeypatch):
         id(test): _unit_rows(q, 48, 33).astype(np.float32),
     }
     monkeypatch.setattr(knn, "extract_features", lambda net, split, stats: rows[id(split)])
-    ranked_chunks = []
+    calls = []
     rank = knn.weighted_knn_predict
 
     def recorded(*args):
-        ranked_chunks.append(rank(*args))
-        return ranked_chunks[-1]
+        calls.append(rank(*args))
+        return calls[-1]
 
     monkeypatch.setattr(knn, "weighted_knn_predict", recorded)
 
     cfg = EvalConfig(k=50, temperature=0.2)
     result = evaluate(None, memory, test, None, cfg)
-    assert len(ranked_chunks) == 3
+    assert len(calls) == 1
+    (scores, ranked), = calls
     bank = FeatureBank(rows[id(memory)], memory.labels)
-    correct1 = correct5 = 0
-    for start, (scores, ranked) in zip(range(0, q, knn._QUERY_CHUNK), ranked_chunks):
+    for start in range(0, q, knn._QUERY_CHUNK):  # three separate calls of at most 512 rows
         chunk = slice(start, start + knn._QUERY_CHUNK)
-        want_scores, want_ranked = weighted_knn_predict(rows[id(test)][chunk], bank, cfg)
-        assert scores.tobytes() == want_scores.tobytes()
-        np.testing.assert_array_equal(ranked, want_ranked)
-        labels = test.labels[chunk]
-        correct1 += int(np.sum(want_ranked[:, 0] == labels))
-        correct5 += int(np.sum(np.any(want_ranked[:, :5] == labels[:, None], axis=1)))
+        want_scores, want_ranked = rank(rows[id(test)][chunk], bank, cfg)
+        assert scores[chunk].tobytes() == want_scores.tobytes()
+        assert ranked[chunk].tobytes() == want_ranked.tobytes()
+    correct1 = int(np.sum(ranked[:, 0] == test.labels))
+    correct5 = int(np.sum(np.any(ranked[:, :5] == test.labels[:, None], axis=1)))
     assert (result.correct1, result.correct5, result.total) == (correct1, correct5, q)
 
 
-def test_evaluate_rejects_empty_or_unlabelled(trained_state):
+def test_evaluate_rejects_empty_or_unlabelled(trained_state, monkeypatch):
+    def extract(*args):
+        raise AssertionError("extracted before the checks")
+
+    monkeypatch.setattr(knn, "extract_features", extract)  # every check runs first
     net, stats, split, test = trained_state
     with pytest.raises(ValueError, match="empty"):
         evaluate(net, split.take(8), test.take(0), stats, EvalConfig(k=2))
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match="the memory split needs labels"):
         evaluate(
             net, split.take(8).without_labels(), test.take(8), stats, EvalConfig(k=2)
         )
@@ -582,11 +595,11 @@ def test_evaluate_rejects_empty_or_unlabelled(trained_state):
 
 def test_a_nan_weight_fails_the_bank_instead_of_ranking(trained_state):
     # ReLU propagates NaN, so one NaN conv1 weight reaches every feature
-    net, stats, split, _ = trained_state
+    net, stats, split, test = trained_state
     broken = CapsuleNetwork.from_state(net.config, net.state_arrays())
     broken.params["conv1.weight"].data[0, 0, 1, 1] = np.nan
     with pytest.raises(ValueError, match="bank rows must be finite and unit norm"):
-        build_feature_bank(broken, split.take(16), stats)
+        evaluate(broken, split.take(16), test.take(8), stats, EvalConfig(k=4))
 
 
 def test_evaluate_rejects_non_finite_query_features(trained_state, monkeypatch):

@@ -253,6 +253,7 @@ def test_config_from_dict_names_a_missing_or_unknown_key():
         ("model", "conv_channels", [16, 0, 32, 64, 64, 128]),
         ("model", "padding", -1),
         ("model", "bn_eps", 0.0),
+        ("model", "bn_eps", float("inf")),  # every conv feature came out 0
         ("model", "bn_momentum", 1.5),
         ("model", "capsule_dim", None),
         ("augment", "crop_scale_range", [0.2, 0.5, 1.0]),
